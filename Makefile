@@ -5,7 +5,7 @@
 GO ?= go
 AMRIVET := bin/amrivet
 
-.PHONY: all build vet lint prune-baseline fixtures test race chaos chaos-sweep bench-smoke bench-json bench-contention bench-measure bench-tuner bench-gate profile ci clean
+.PHONY: all build vet lint prune-baseline fixtures test race chaos chaos-sweep bench-smoke bench-json bench-measure bench-tuner bench-gate profile ci clean
 
 all: build
 
@@ -85,38 +85,33 @@ bench-smoke:
 bench-json:
 	$(GO) run ./cmd/amribench -json -check -out BENCH_shard.json
 
-# bench-contention regenerates the committed operator-lock contention A/B
-# (held-lock probe baseline vs the lock-free epoch probe path at 8 workers
-# x 8 shards, mutex wait cycles via runtime.SetMutexProfileFraction(1));
-# the embedded Check enforces digest equality and a >=50% wait-cycle
-# reduction before the artifact is written.
-bench-contention:
-	$(GO) test -run TestWriteContentionArtifact -count=1 ./internal/bench -contention-out $(CURDIR)/BENCH_contention.json
-
-# bench-measure regenerates the committed measured dispatch artifact: the
-# deque work-stealing dispatch timed against the legacy shared-channel
-# dispatch on the drift workload (median of 5 in-process reps per point,
-# digests checked against the serial reference). The embedded Check
-# enforces digest equality and the >=2x dispatch-layer speedup bar.
+# bench-measure regenerates the committed measured pipeline artifact: the
+# real pipeline timed across the 1/2/8-worker sweep on the drift workload
+# (median of 5 in-process reps per point) next to the modeled LPT rows over
+# the same trace. The embedded Check enforces that every measured digest
+# equals the serial reference.
 bench-measure:
 	$(GO) run ./cmd/amribench -measure -check -out BENCH_pipeline.json
 
 # bench-tuner regenerates the committed retune-under-load artifact: the
-# thrash A/B (legacy vs v2 controller on an oscillating drift pattern) plus
-# the measured notune/legacy/v2 sweep on the drift workload (median of 5
-# in-process reps per point, digests checked against the no-tuning
-# reference). The embedded Check enforces zero v2 flip-flops vs >=2 legacy,
-# a v2 retune count at most 2/3 of legacy's, and v2 p99 tick latency within
-# 1.25x of the no-tuning run.
+# deterministic thrash A/B (v1 vs v2 tuner.Controller on an oscillating
+# drift pattern) plus the measured notune/v2 pair on the drift workload
+# (best of 5 in-process reps per point, digests checked against the
+# no-tuning reference). The embedded Check enforces zero v2 flip-flops vs
+# >=2 for the v1 policy, and v2 p99 tick latency within 1.25x of the
+# no-tuning run.
 bench-tuner:
 	$(GO) run ./cmd/amribench -tuner -check -out BENCH_tuner.json
 
-# bench-gate re-measures and gates against the committed artifacts: fails if
-# the measured dispatch speedup drops below 2x or the headline point
-# regressed >10% vs BENCH_pipeline.json (speedup-ratio compared when host
-# core counts differ — see PipelineBenchResult.Gate), then re-runs the
-# tuner suite and fails on thrash, digest drift, or a >10% p99 regression
-# vs BENCH_tuner.json (same core-count awareness — TunerBenchResult.Gate).
+# bench-gate re-measures at quick horizon and gates against the committed
+# artifacts: fails on any digest drift, on a missing committed row, on
+# controller thrash, on v2 p99 past 1.25x notune, or on a >10% regression
+# of the headline point (widest-pool tuples/sec; v2 p99) vs the committed
+# value. Absolute numbers are only compared on the committed setup — same
+# seed/ticks/shards and at least the baseline's core count; otherwise the
+# pipeline gate prints that it skipped the comparison and the tuner gate
+# compares the v2/notune ratio (PipelineBenchResult.Gate,
+# TunerBenchResult.Gate).
 bench-gate:
 	$(GO) run ./cmd/amribench -measure -quick -gate BENCH_pipeline.json
 	$(GO) run ./cmd/amribench -tuner -quick -gate BENCH_tuner.json

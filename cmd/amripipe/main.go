@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -29,26 +30,36 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process edges injected: it parses args, executes the
+// workload (or the replay) and returns the exit status — 0 on success, 1 on
+// a failed run or a still-failing repro, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("amripipe", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ticks     = flag.Int64("ticks", 300, "workload ticks to process")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		rate      = flag.Int("rate", 0, "override tuples per stream per tick")
-		method    = flag.String("method", "cdia-h", "assessment: sria, csria, dia, cdia-r, cdia-h")
-		procs     = flag.Int("procs", 0, "GOMAXPROCS override (0 = runtime default)")
-		mboxCap   = flag.Int("mailbox-cap", 0, "operator mailbox capacity (0 = unbounded)")
-		shedPol   = flag.String("shed-policy", "block", "overload policy: block, drop-newest, drop-oldest")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "fault-injection seed (0 = no faults)")
-		replay    = flag.String("replay", "", "replay a chaos repro file instead of running the workload")
-		legacyTun = flag.Bool("legacy-tuner", false, "use the v1 migrate-on-any-gain tuner (A/B baseline; v2 migration-cost-aware controller is the default)")
+		ticks     = fs.Int64("ticks", 300, "workload ticks to process")
+		seed      = fs.Uint64("seed", 1, "workload seed")
+		rate      = fs.Int("rate", 0, "override tuples per stream per tick")
+		method    = fs.String("method", "cdia-h", "assessment: sria, csria, dia, cdia-r, cdia-h")
+		procs     = fs.Int("procs", 0, "GOMAXPROCS override (0 = runtime default)")
+		mboxCap   = fs.Int("mailbox-cap", 0, "operator mailbox capacity (0 = unbounded)")
+		shedPol   = fs.String("shed-policy", "block", "overload policy: block, drop-newest, drop-oldest")
+		chaosSeed = fs.Uint64("chaos-seed", 0, "fault-injection seed (0 = no faults)")
+		replay    = fs.String("replay", "", "replay a chaos repro file instead of running the workload")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *procs > 0 {
 		runtime.GOMAXPROCS(*procs)
 	}
 
 	if *replay != "" {
-		os.Exit(replayRepro(*replay))
+		return replayRepro(*replay, stdout, stderr)
 	}
 
 	var m core.Method
@@ -64,14 +75,14 @@ func main() {
 	case "cdia-h":
 		m = core.MethodCDIAHighest
 	default:
-		fmt.Fprintf(os.Stderr, "amripipe: unknown method %q\n", *method)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "amripipe: unknown method %q\n", *method)
+		return 2
 	}
 
 	policy, err := pipeline.ParsePolicy(*shedPol)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amripipe:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "amripipe:", err)
+		return 2
 	}
 
 	plan := fault.None
@@ -89,71 +100,71 @@ func main() {
 		Seed:       *seed,
 		Ticks:      *ticks,
 		Method:     m,
-		MailboxCap:  *mboxCap,
-		ShedPolicy:  policy,
-		Fault:       plan,
-		LegacyTuner: *legacyTun,
+		MailboxCap: *mboxCap,
+		ShedPolicy: policy,
+		Fault:      plan,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amripipe:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "amripipe:", err)
+		return 1
 	}
 
-	fmt.Printf("GOMAXPROCS:      %d\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("ticks:           %d (%d tuples)\n", *ticks, r.TuplesIngested)
-	fmt.Printf("join results:    %d\n", r.Results)
-	fmt.Printf("search requests: %d\n", r.Probes)
-	fmt.Printf("index retunes:   %d\n", r.Retunes)
+	fmt.Fprintf(stdout, "GOMAXPROCS:      %d\n", runtime.GOMAXPROCS(0))
+	fmt.Fprintf(stdout, "ticks:           %d (%d tuples)\n", *ticks, r.TuplesIngested)
+	fmt.Fprintf(stdout, "join results:    %d\n", r.Results)
+	fmt.Fprintf(stdout, "search requests: %d\n", r.Probes)
+	fmt.Fprintf(stdout, "index retunes:   %d\n", r.Retunes)
 	if s := r.Tuner; s.Passes > 0 {
-		fmt.Printf("tuner:           %d passes, %d migrations, holds: %d cooldown, %d flip-flop, %d uneconomical\n",
+		fmt.Fprintf(stdout, "tuner:           %d passes, %d migrations, holds: %d cooldown, %d flip-flop, %d uneconomical\n",
 			s.Passes, s.Migrations, s.CooldownHolds, s.FlipFlopHolds, s.Uneconomical)
 		if s.PredictedMigCost > 0 {
-			fmt.Printf("what-if ledger:  predicted migration cost %.0f, realized %.0f (%d drains, %d aborted)\n",
+			fmt.Fprintf(stdout, "what-if ledger:  predicted migration cost %.0f, realized %.0f (%d drains, %d aborted)\n",
 				s.PredictedMigCost, s.RealizedMigCost, s.Completed, s.Aborted)
 		}
 	}
-	fmt.Printf("wall time:       %v\n", r.Wall)
-	fmt.Printf("throughput:      %.0f tuples/s, %.0f probes/s (wall clock)\n",
+	fmt.Fprintf(stdout, "wall time:       %v\n", r.Wall)
+	fmt.Fprintf(stdout, "throughput:      %.0f tuples/s, %.0f probes/s (wall clock)\n",
 		float64(r.TuplesIngested)/r.Wall.Seconds(), float64(r.Probes)/r.Wall.Seconds())
 	if *mboxCap > 0 || plan.Enabled() {
-		fmt.Printf("sheds:           %d (%d ingest, %d probe; per-op %v)\n",
+		fmt.Fprintf(stdout, "sheds:           %d (%d ingest, %d probe; per-op %v)\n",
 			r.Sheds, r.IngestShed, r.ProbeShed, r.ShedsPerOp)
 	}
 	if plan.Enabled() {
-		fmt.Printf("chaos:           %d restarts (%d permanent failures), %d lost in flight\n",
+		fmt.Fprintf(stdout, "chaos:           %d restarts (%d permanent failures), %d lost in flight\n",
 			r.Restarts, r.PermanentFailures, r.IngestLost+r.ProbeLost)
-		fmt.Printf("checkpoints:     %d tuples replayed, %d lost past checkpoint\n",
+		fmt.Fprintf(stdout, "checkpoints:     %d tuples replayed, %d lost past checkpoint\n",
 			r.Replayed, r.StateLost)
-		fmt.Printf("faults:          %d migration aborts, %d delivery stalls, %d pressure events\n",
+		fmt.Fprintf(stdout, "faults:          %d migration aborts, %d delivery stalls, %d pressure events\n",
 			r.MigrationAborts, r.InjectedDelays, r.PressureEvents)
 	}
+	return 0
 }
 
 // replayRepro re-runs a scenario emitted by cmd/amrichaos and reports
 // whether the recorded failure still reproduces. Exit status: 0 if every
 // invariant now holds, 1 if the repro still fails.
-func replayRepro(path string) int {
+func replayRepro(path string, stdout, stderr io.Writer) int {
 	sc, err := chaos.LoadRepro(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amripipe:", err)
+		fmt.Fprintln(stderr, "amripipe:", err)
 		return 2
 	}
-	fmt.Printf("replaying %s: seed %d, %d ticks, %d workers, %d shards, crashes %v",
+	fmt.Fprintf(stdout, "replaying %s: seed %d, %d ticks, %d workers, %d shards, crashes %v",
 		path, sc.Seed, sc.Ticks, sc.Workers, sc.Shards, sc.Plan.CrashTicks)
 	if sc.FlakeEvery > 1 {
-		fmt.Printf(", flaky store (drop every %d)", sc.FlakeEvery)
+		fmt.Fprintf(stdout, ", flaky store (drop every %d)", sc.FlakeEvery)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	rep := chaos.Explore(sc)
-	fmt.Printf("results:    %d (reference %d), %d recoveries, %d WAL appends dropped\n",
+	fmt.Fprintf(stdout, "results:    %d (reference %d), %d recoveries, %d WAL appends dropped\n",
 		rep.Results, rep.RefResults, rep.Recoveries, rep.Dropped)
 	if !rep.Failed() {
-		fmt.Println("verdict:    PASS — every durability invariant holds")
+		fmt.Fprintln(stdout, "verdict:    PASS — every durability invariant holds")
 		return 0
 	}
-	fmt.Printf("verdict:    FAIL — %d invariant violation(s)\n", len(rep.Violations))
+	fmt.Fprintf(stdout, "verdict:    FAIL — %d invariant violation(s)\n", len(rep.Violations))
 	for _, v := range rep.Violations {
-		fmt.Printf("  - %s\n", v)
+		fmt.Fprintf(stdout, "  - %s\n", v)
 	}
 	return 1
 }

@@ -3,8 +3,7 @@ package bench
 // Pipeline bench: the MEASURED wall-clock companion to the modeled shard
 // bench. Where shard.go schedules a traced run under an idealized LPT model
 // (reproducible on any machine, but a model), this file times the real
-// pipeline: the deque work-stealing dispatch against the legacy
-// shared-channel dispatch it replaced, on the same drift workload, with the
+// pipeline across a worker sweep on the same drift workload, with the
 // digest of every measured configuration checked against the serial
 // reference. BENCH_pipeline.json commits both kinds of rows side by side —
 // "modeled/..." and "measured/..." entries in one github-action-benchmark
@@ -14,11 +13,8 @@ package bench
 //
 //   - NumCPU/GOMAXPROCS are recorded per run. On a single-core host the
 //     measured 8-worker and 1-worker configurations are the same machine
-//     time-slicing, so the headline measured ratio is dispatch-layer
-//     improvement (deque dispatch at W workers vs the legacy channel
-//     dispatch at 1 worker — the seed's real configuration), NOT parallel
-//     scaling. ScalingVs1W is reported separately and is expected to be
-//     ~1x at NumCPU=1 and to approach the modeled speedup as cores appear.
+//     time-slicing, so ScalingVs1W is expected to be ~1x at NumCPU=1 and
+//     to approach the modeled speedup as cores appear.
 //   - Every measured point is the median of Reps timed repetitions after
 //     Warmup discarded ones, all in-process: this box's run-to-run noise is
 //     ~±8%, well above the effects being compared.
@@ -46,7 +42,7 @@ type PipelineBenchOptions struct {
 	// Shards is the index sharding degree of every measured configuration
 	// (default 8).
 	Shards int
-	// Workers are the deque-dispatch pool sizes to measure (default 1, 2, 8).
+	// Workers are the probe pool sizes to measure (default 1, 2, 8).
 	Workers []int
 	// Reps is how many timed repetitions the median is taken over
 	// (default 5; Quick halves it, min 3).
@@ -89,10 +85,7 @@ func (o PipelineBenchOptions) fill() PipelineBenchOptions {
 
 // PipelinePoint is one measured configuration.
 type PipelinePoint struct {
-	// Dispatch is "deque" (the work-stealing dispatch) or "legacy" (the
-	// shared-channel dispatch it replaced).
-	Dispatch string `json:"dispatch"`
-	Workers  int    `json:"workers"`
+	Workers int `json:"workers"`
 	// TuplesPerSec and ProbesPerSec are medians over the timed reps.
 	TuplesPerSec float64 `json:"tuples_per_sec"`
 	ProbesPerSec float64 `json:"probes_per_sec"`
@@ -102,11 +95,8 @@ type PipelinePoint struct {
 	RepTuplesPerSec []float64 `json:"rep_tuples_per_sec"`
 	Digest          string    `json:"digest"`
 	Match           bool      `json:"digest_matches_serial"`
-	// SpeedupVsLegacy1W is this point over the measured legacy 1-worker
-	// baseline — the dispatch-layer headline.
-	SpeedupVsLegacy1W float64 `json:"speedup_vs_legacy_1w"`
-	// ScalingVs1W is this point over the same dispatch's 1-worker point —
-	// actual parallel scaling, honest about NumCPU.
+	// ScalingVs1W is this point over the sweep's 1-worker point — actual
+	// parallel scaling, honest about NumCPU.
 	ScalingVs1W float64 `json:"scaling_vs_1w"`
 }
 
@@ -146,9 +136,9 @@ func median(xs []float64) float64 {
 }
 
 // measureOne times Warmup+Reps runs of one configuration and returns its
-// point (speedups filled in by the caller).
-func measureOne(o PipelineBenchOptions, dispatch string, workers int, ref string) (PipelinePoint, error) {
-	pt := PipelinePoint{Dispatch: dispatch, Workers: workers}
+// point (scaling filled in by the caller).
+func measureOne(o PipelineBenchOptions, workers int, ref string) (PipelinePoint, error) {
+	pt := PipelinePoint{Workers: workers}
 	so := ShardBenchOptions{Seed: o.Seed, Ticks: o.Ticks, Shards: o.Shards}
 	var walls, tps, pps []float64
 	for rep := 0; rep < o.Warmup+o.Reps; rep++ {
@@ -156,20 +146,17 @@ func measureOne(o PipelineBenchOptions, dispatch string, workers int, ref string
 		cfg := so.pipelineConfig(workers, o.Shards, false)
 		cfg.Ticks = o.Ticks
 		cfg.OnResult = d.add
-		if dispatch == "legacy" {
-			cfg.LegacyDispatch = true
-		}
 		start := time.Now()
 		res, err := pipeline.Run(cfg)
 		if err != nil {
-			return pt, fmt.Errorf("bench: pipeline %s/%dw rep %d: %w", dispatch, workers, rep, err)
+			return pt, fmt.Errorf("bench: pipeline %dw rep %d: %w", workers, rep, err)
 		}
 		wall := time.Since(start)
 		pt.Digest = d.String()
 		pt.Match = pt.Digest == ref
 		if !pt.Match {
-			return pt, fmt.Errorf("bench: pipeline %s/%dw rep %d: digest %s != serial %s",
-				dispatch, workers, rep, pt.Digest, ref)
+			return pt, fmt.Errorf("bench: pipeline %dw rep %d: digest %s != serial %s",
+				workers, rep, pt.Digest, ref)
 		}
 		if rep < o.Warmup {
 			continue
@@ -236,43 +223,21 @@ func PipelineBench(o PipelineBenchOptions) (*PipelineBenchResult, error) {
 		}
 	}
 
-	// Measured rows: the legacy dispatch baseline first (1 worker — the
-	// seed's configuration — and the widest pool, showing the old path
-	// does not scale), then the deque dispatch across the sweep.
-	widest := o.Workers[len(o.Workers)-1]
-	legacyWorkers := []int{1}
-	if widest > 1 {
-		legacyWorkers = append(legacyWorkers, widest)
-	}
-	for _, w := range legacyWorkers {
-		pt, err := measureOne(o, "legacy", w, out.SerialDigest)
-		if err != nil {
-			return nil, err
-		}
-		out.Measured = append(out.Measured, pt)
-	}
+	// Measured rows: the real pipeline across the worker sweep.
+	var base1w float64
 	for _, w := range o.Workers {
-		pt, err := measureOne(o, "deque", w, out.SerialDigest)
+		pt, err := measureOne(o, w, out.SerialDigest)
 		if err != nil {
 			return nil, err
 		}
+		if w == 1 {
+			base1w = pt.TuplesPerSec
+		}
 		out.Measured = append(out.Measured, pt)
 	}
-
-	base1w := map[string]float64{}
-	for _, pt := range out.Measured {
-		if pt.Workers == 1 {
-			base1w[pt.Dispatch] = pt.TuplesPerSec
-		}
-	}
-	legacy1 := base1w["legacy"]
-	for i := range out.Measured {
-		pt := &out.Measured[i]
-		if legacy1 > 0 {
-			pt.SpeedupVsLegacy1W = pt.TuplesPerSec / legacy1
-		}
-		if b := base1w[pt.Dispatch]; b > 0 {
-			pt.ScalingVs1W = pt.TuplesPerSec / b
+	if base1w > 0 {
+		for i := range out.Measured {
+			out.Measured[i].ScalingVs1W = out.Measured[i].TuplesPerSec / base1w
 		}
 	}
 
@@ -294,91 +259,79 @@ func (r *PipelineBenchResult) buildEntries() []BenchEntry {
 	}
 	for _, p := range r.Measured {
 		es = append(es, BenchEntry{
-			Name:  fmt.Sprintf("measured/%s/workers=%d/tuples_per_sec", p.Dispatch, p.Workers),
+			Name:  fmt.Sprintf("measured/deque/workers=%d/tuples_per_sec", p.Workers),
 			Unit:  "tuples/sec",
 			Value: p.TuplesPerSec,
-			Extra: fmt.Sprintf("median of %d reps, num_cpu=%d, vs_legacy_1w=%.2fx, scaling_vs_1w=%.2fx, digest=%s",
-				r.Reps, r.NumCPU, p.SpeedupVsLegacy1W, p.ScalingVs1W, p.Digest),
+			Extra: fmt.Sprintf("median of %d reps, num_cpu=%d, scaling_vs_1w=%.2fx, digest=%s",
+				r.Reps, r.NumCPU, p.ScalingVs1W, p.Digest),
 		})
 	}
 	return es
 }
 
-// Point returns the measured point for one configuration, if present.
-func (r *PipelineBenchResult) Point(dispatch string, workers int) *PipelinePoint {
+// Point returns the measured point for one pool size, if present.
+func (r *PipelineBenchResult) Point(workers int) *PipelinePoint {
 	for i := range r.Measured {
-		if r.Measured[i].Dispatch == dispatch && r.Measured[i].Workers == workers {
+		if r.Measured[i].Workers == workers {
 			return &r.Measured[i]
 		}
 	}
 	return nil
 }
 
-// Check enforces the measured acceptance bars: every digest matched the
-// serial reference, and the widest deque pool beat the legacy 1-worker
-// baseline by at least minSpeedup. The speedup bar only applies on the
-// dispatch-layer comparison — it is parallelism-independent, so it holds on
-// a single-core runner too.
-func (r *PipelineBenchResult) Check(minSpeedup float64) error {
+// Check enforces the measured acceptance bar: every digest matched the
+// serial reference.
+func (r *PipelineBenchResult) Check() error {
 	if len(r.Measured) == 0 {
 		return fmt.Errorf("no measured points")
 	}
 	for _, p := range r.Measured {
 		if !p.Match {
-			return fmt.Errorf("digest mismatch at %s/%d workers: %s != serial %s",
-				p.Dispatch, p.Workers, p.Digest, r.SerialDigest)
+			return fmt.Errorf("digest mismatch at %d workers: %s != serial %s",
+				p.Workers, p.Digest, r.SerialDigest)
 		}
-	}
-	widest := r.Measured[len(r.Measured)-1]
-	if widest.SpeedupVsLegacy1W < minSpeedup {
-		return fmt.Errorf("measured speedup at %s/%d workers is %.2fx vs legacy 1w, below the %.1fx bar",
-			widest.Dispatch, widest.Workers, widest.SpeedupVsLegacy1W, minSpeedup)
 	}
 	return nil
 }
 
 // Gate compares a fresh result against a committed baseline: the fresh run
-// must pass Check(minSpeedup), and the headline point must not have
-// regressed by more than maxRegression (fractional, e.g. 0.10) relative to
-// the committed value — AFTER normalizing for host parallelism: a baseline
-// measured with more CPUs than the gating host would fail spuriously, so
-// regression is only enforced when the committed NumCPU does not exceed the
-// fresh one.
-func (r *PipelineBenchResult) Gate(baseline *PipelineBenchResult, minSpeedup, maxRegression float64) error {
-	if err := r.Check(minSpeedup); err != nil {
-		return err
-	}
-	if baseline == nil {
-		return nil
+// must pass Check, and the widest pool's throughput must not have regressed
+// by more than maxRegression (fractional, e.g. 0.10) relative to the
+// committed value. Absolute throughput is only comparable on the same
+// setup (see setupDiff); on any other the comparison is skipped. The
+// returned verdict says which of the two happened.
+func (r *PipelineBenchResult) Gate(baseline *PipelineBenchResult, maxRegression float64) (verdict string, err error) {
+	if err := r.Check(); err != nil {
+		return "", err
 	}
 	fresh := r.Measured[len(r.Measured)-1]
-	committed := baseline.Point(fresh.Dispatch, fresh.Workers)
+	committed := baseline.Point(fresh.Workers)
 	if committed == nil {
-		return fmt.Errorf("committed baseline has no %s/%d-worker point", fresh.Dispatch, fresh.Workers)
+		return "", fmt.Errorf("committed baseline has no %d-worker point", fresh.Workers)
 	}
-	sameSetup := baseline.NumCPU <= r.NumCPU &&
-		baseline.Workload.Ticks == r.Workload.Ticks &&
-		baseline.Workload.Seed == r.Workload.Seed &&
-		baseline.Workload.Shards == r.Workload.Shards
-	if !sameSetup {
-		// Different host parallelism or workload horizon: absolute
-		// throughput is not comparable, but the dispatch-layer speedup
-		// ratio (deque vs legacy on the SAME fresh run) still is. The
-		// ratio compounds the noise of two fresh measurements, so it gets
-		// double the allowance; Check's absolute minSpeedup floor above is
-		// what actually bounds a real regression.
-		if committed.SpeedupVsLegacy1W > 0 &&
-			fresh.SpeedupVsLegacy1W < committed.SpeedupVsLegacy1W*(1-2*maxRegression) {
-			return fmt.Errorf("measured speedup regressed: %.2fx vs committed %.2fx (-%.0f%% bar; setups differ, ratio compared)",
-				fresh.SpeedupVsLegacy1W, committed.SpeedupVsLegacy1W, 2*maxRegression*100)
-		}
-		return nil
+	if diff := setupDiff(baseline.NumCPU, r.NumCPU, baseline.Workload, r.Workload); diff != "" {
+		return "throughput comparison skipped, " + diff, nil
 	}
 	if fresh.TuplesPerSec < committed.TuplesPerSec*(1-maxRegression) {
-		return fmt.Errorf("measured throughput regressed: %.0f tuples/sec vs committed %.0f (-%.0f%% bar)",
+		return "", fmt.Errorf("measured throughput regressed: %.0f tuples/sec vs committed %.0f (-%.0f%% bar)",
 			fresh.TuplesPerSec, committed.TuplesPerSec, maxRegression*100)
 	}
-	return nil
+	return fmt.Sprintf("%.0f tuples/sec at %d workers vs committed %.0f, within the -%.0f%% bar",
+		fresh.TuplesPerSec, fresh.Workers, committed.TuplesPerSec, maxRegression*100), nil
+}
+
+// setupDiff says why a fresh run's absolute numbers cannot be held against
+// a committed baseline's — the baseline host had more CPUs, or the workload
+// shape differs — or returns "" when they can.
+func setupDiff(baseCPU, freshCPU int, base, fresh ShardWorkload) string {
+	switch {
+	case baseCPU > freshCPU:
+		return fmt.Sprintf("setups differ: baseline num_cpu=%d, this host %d", baseCPU, freshCPU)
+	case base.Ticks != fresh.Ticks || base.Seed != fresh.Seed || base.Shards != fresh.Shards:
+		return fmt.Sprintf("setups differ: baseline seed/ticks/shards=%d/%d/%d, this run %d/%d/%d",
+			base.Seed, base.Ticks, base.Shards, fresh.Seed, fresh.Ticks, fresh.Shards)
+	}
+	return ""
 }
 
 // WriteJSON writes the result as indented JSON.
@@ -401,16 +354,15 @@ func ReadPipelineBench(rd io.Reader) (*PipelineBenchResult, error) {
 func (r *PipelineBenchResult) Summary(w io.Writer) {
 	fmt.Fprintf(w, "pipeline bench: %s, seed %d, %d ticks, %d shards, num_cpu=%d, median of %d reps\n",
 		r.Workload.Query, r.Workload.Seed, r.Workload.Ticks, r.Workload.Shards, r.NumCPU, r.Reps)
-	fmt.Fprintf(w, "%8s %8s %14s %14s %10s %12s %12s  %s\n",
-		"dispatch", "workers", "tuples/sec", "probes/sec", "wall ms", "vs leg 1w", "scaling", "digest")
+	fmt.Fprintf(w, "%8s %14s %14s %10s %12s  %s\n",
+		"workers", "tuples/sec", "probes/sec", "wall ms", "scaling", "digest")
 	for _, p := range r.Measured {
 		status := "MATCH"
 		if !p.Match {
 			status = "MISMATCH"
 		}
-		fmt.Fprintf(w, "%8s %8d %14.0f %14.0f %10.1f %11.2fx %11.2fx  %s (%s)\n",
-			p.Dispatch, p.Workers, p.TuplesPerSec, p.ProbesPerSec, p.WallMS,
-			p.SpeedupVsLegacy1W, p.ScalingVs1W, p.Digest, status)
+		fmt.Fprintf(w, "%8d %14.0f %14.0f %10.1f %11.2fx  %s (%s)\n",
+			p.Workers, p.TuplesPerSec, p.ProbesPerSec, p.WallMS, p.ScalingVs1W, p.Digest, status)
 	}
 	fmt.Fprintf(w, "modeled (LPT over traced costs):")
 	for _, p := range r.Modeled {

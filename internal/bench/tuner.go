@@ -13,12 +13,12 @@ package bench
 //     exact and machine-independent.
 //
 //   - "measured/..." rows time the real pipeline on the drift workload
-//     with aggressive live tuning, sampling per-tick wall latency through
-//     Config.OnTickEnd. The headline is p99 tick latency with v2 retuning
-//     active versus the same run with tuning effectively off: retuning
-//     under live traffic must not dent tail latency. Join-result digests
-//     are checked across every policy — the tuner moves access structures,
-//     never results.
+//     with live tuning, sampling per-tick wall latency through
+//     Config.OnTickEnd. The headline is p99 tick latency with retuning
+//     active ("v2") versus the same run with tuning effectively off
+//     ("notune"): retuning under live traffic must not dent tail latency.
+//     Join-result digests are checked across both — the tuner moves access
+//     structures, never results.
 //
 // Honesty notes, mirrored in the artifact:
 //
@@ -118,8 +118,8 @@ type TunerThrashPoint struct {
 
 // TunerLoadPoint is one measured pipeline configuration.
 type TunerLoadPoint struct {
-	// Policy is "notune" (tuning cadence beyond the horizon), "legacy"
-	// (v1 controller) or "v2".
+	// Policy is "notune" (tuning cadence beyond the horizon) or "v2" (the
+	// pipeline's migration-cost-aware controller).
 	Policy string `json:"policy"`
 	// P99TickMicros / MeanTickMicros come from the best timed rep: on a
 	// shared box interference is strictly additive, so the fastest rep is
@@ -199,8 +199,8 @@ func thrashParams() cost.Params {
 	return cost.Params{LambdaD: 100, LambdaR: 0.1, Ch: 0.001, Cc: 1, Window: 60}
 }
 
-// measureTunerLoad times Warmup+Reps pipeline runs of one tuner policy,
-// sampling per-tick wall latency.
+// measureTunerLoad times Warmup+Reps pipeline runs with live tuning on
+// ("v2") or effectively off ("notune"), sampling per-tick wall latency.
 func measureTunerLoad(o TunerBenchOptions, policy, ref string) (TunerLoadPoint, string, error) {
 	pt := TunerLoadPoint{Policy: policy}
 	so := ShardBenchOptions{Seed: o.Seed, Ticks: o.Ticks, Shards: o.Shards}
@@ -209,13 +209,10 @@ func measureTunerLoad(o TunerBenchOptions, policy, ref string) (TunerLoadPoint, 
 		cfg := so.pipelineConfig(o.Workers, o.Shards, false)
 		cfg.Ticks = o.Ticks
 		cfg.AutoTuneEvery = o.AutoTuneEvery
-		switch policy {
-		case "notune":
+		if policy == "notune" {
 			// Cadence past any plausible probe count: live tuning never
 			// fires (AutoTuneEvery 0 means "default", not "off").
 			cfg.AutoTuneEvery = 1 << 62
-		case "legacy":
-			cfg.LegacyTuner = true
 		}
 		var d shardDigest
 		cfg.OnResult = d.add
@@ -304,7 +301,7 @@ func TunerBench(o TunerBenchOptions) (*TunerBenchResult, error) {
 	// Measured retune-under-load sweep. The notune run defines the digest
 	// reference: tuner policy must never change the result set.
 	ref := ""
-	for _, policy := range []string{"notune", "legacy", "v2"} {
+	for _, policy := range []string{"notune", "v2"} {
 		pt, r, err := measureTunerLoad(o, policy, ref)
 		if err != nil {
 			return nil, err
@@ -368,11 +365,6 @@ func (r *TunerBenchResult) Point(policy string) *TunerLoadPoint {
 //     first adoption) — the PR's structural claim, on exact counts;
 //   - every measured digest matched the reference (retuning never changes
 //     the result set);
-//   - under live traffic the v2 controller migrates at most 2/3 as often
-//     as the legacy policy on the same drifting workload — enforced only
-//     when legacy retuned >= 10 times, i.e. the horizon was long enough
-//     for churn to accumulate (a quick run retunes a handful of times
-//     before the first drift epoch, genuine adoptions both policies make);
 //   - v2 retuning under load keeps p99 tick latency within maxP99Ratio of
 //     the no-tuning run.
 func (r *TunerBenchResult) Check(maxP99Ratio float64) error {
@@ -399,13 +391,9 @@ func (r *TunerBenchResult) Check(maxP99Ratio float64) error {
 			return fmt.Errorf("digest mismatch at policy %s: %s != ref %s", m.Policy, m.Digest, r.RefDigest)
 		}
 	}
-	base, leg, v2 := r.Point("notune"), r.Point("legacy"), r.Point("v2")
-	if base == nil || leg == nil || v2 == nil {
+	base, v2 := r.Point("notune"), r.Point("v2")
+	if base == nil || v2 == nil {
 		return fmt.Errorf("measured rows missing")
-	}
-	if leg.Retunes >= 10 && float64(v2.Retunes) > float64(leg.Retunes)*2/3 {
-		return fmt.Errorf("v2 migrated %d times vs legacy's %d on the drifting workload; cost-aware retuning lost its damping",
-			v2.Retunes, leg.Retunes)
 	}
 	if base.P99TickMicros > 0 && v2.P99TickMicros > base.P99TickMicros*maxP99Ratio {
 		return fmt.Errorf("v2 retuning dents p99 tick latency: %.0fus vs %.0fus without tuning (%.2fx > %.2fx bar)",
@@ -417,44 +405,38 @@ func (r *TunerBenchResult) Check(maxP99Ratio float64) error {
 // Gate compares a fresh result against the committed baseline: the fresh
 // run must pass Check(maxP99Ratio), and v2 p99 tick latency must not have
 // regressed by more than maxRegression relative to the committed value.
-// Absolute latencies are only compared when the committed baseline came
-// from a host with no more CPUs and the same workload shape; otherwise the
-// tuning-on/tuning-off ratio is compared, with double the allowance (it
-// compounds two fresh measurements' noise).
-func (r *TunerBenchResult) Gate(baseline *TunerBenchResult, maxP99Ratio, maxRegression float64) error {
+// Absolute latencies are only compared on the same setup (see setupDiff);
+// otherwise the tuning-on/tuning-off ratio is compared, with double the
+// allowance (it compounds two fresh measurements' noise). The returned
+// verdict says which comparison ran.
+func (r *TunerBenchResult) Gate(baseline *TunerBenchResult, maxP99Ratio, maxRegression float64) (verdict string, err error) {
 	if err := r.Check(maxP99Ratio); err != nil {
-		return err
+		return "", err
 	}
-	if baseline == nil {
-		return nil
-	}
-	fresh := r.Point("v2")
-	committed := baseline.Point("v2")
+	fresh, freshBase := r.Point("v2"), r.Point("notune")
+	committed, commBase := baseline.Point("v2"), baseline.Point("notune")
 	if committed == nil {
-		return fmt.Errorf("committed baseline has no v2 point")
+		return "", fmt.Errorf("committed baseline has no v2 point")
 	}
-	sameSetup := baseline.NumCPU <= r.NumCPU &&
-		baseline.Workload.Ticks == r.Workload.Ticks &&
-		baseline.Workload.Seed == r.Workload.Seed &&
-		baseline.Workload.Shards == r.Workload.Shards
-	if !sameSetup {
-		freshBase, commBase := r.Point("notune"), baseline.Point("notune")
-		if freshBase == nil || commBase == nil || freshBase.P99TickMicros <= 0 || commBase.P99TickMicros <= 0 {
-			return nil
+	if diff := setupDiff(baseline.NumCPU, r.NumCPU, baseline.Workload, r.Workload); diff != "" {
+		if commBase == nil || freshBase.P99TickMicros <= 0 || commBase.P99TickMicros <= 0 || committed.P99TickMicros <= 0 {
+			return "p99 comparison skipped, " + diff, nil
 		}
 		freshRatio := fresh.P99TickMicros / freshBase.P99TickMicros
 		commRatio := committed.P99TickMicros / commBase.P99TickMicros
-		if commRatio > 0 && freshRatio > commRatio*(1+2*maxRegression) {
-			return fmt.Errorf("v2/notune p99 ratio regressed: %.2fx vs committed %.2fx (+%.0f%% bar; setups differ, ratio compared)",
-				freshRatio, commRatio, 2*maxRegression*100)
+		if freshRatio > commRatio*(1+2*maxRegression) {
+			return "", fmt.Errorf("v2/notune p99 ratio regressed: %.2fx vs committed %.2fx (+%.0f%% bar; %s)",
+				freshRatio, commRatio, 2*maxRegression*100, diff)
 		}
-		return nil
+		return fmt.Sprintf("absolute p99 comparison skipped, %s; v2/notune p99 ratio %.2fx vs committed %.2fx, within the +%.0f%% bar",
+			diff, freshRatio, commRatio, 2*maxRegression*100), nil
 	}
 	if fresh.P99TickMicros > committed.P99TickMicros*(1+maxRegression) {
-		return fmt.Errorf("v2 p99 tick latency regressed: %.0fus vs committed %.0fus (+%.0f%% bar)",
+		return "", fmt.Errorf("v2 p99 tick latency regressed: %.0fus vs committed %.0fus (+%.0f%% bar)",
 			fresh.P99TickMicros, committed.P99TickMicros, maxRegression*100)
 	}
-	return nil
+	return fmt.Sprintf("v2 p99 tick %.0fus vs committed %.0fus, within the +%.0f%% bar",
+		fresh.P99TickMicros, committed.P99TickMicros, maxRegression*100), nil
 }
 
 // WriteJSON writes the result as indented JSON.

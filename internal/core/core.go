@@ -113,31 +113,24 @@ type Options struct {
 	// MigrateStepTuples bounds the incremental-migration work advanced
 	// per insert while a sharded migration drains (default 64).
 	MigrateStepTuples int
-	// LegacyTuner reverts the retuning policy to v1 — MinGain hysteresis
-	// only, no migration pricing, no cooldown — the A/B baseline the
-	// tuner bench compares against.
-	LegacyTuner bool
-	// TuneHorizon is the migration amortization horizon in cost-model time
-	// units: proposals migrate only when their modelled C_D gain over this
-	// horizon exceeds the predicted migration cost (state relocation plus
-	// the incremental drain's dual-directory window). Zero means auto:
-	// four assessment windows, converted from probes to model time through
-	// the calibrated request rate each pass (AutoTuneEvery counts probes;
-	// one model time unit is one insert interval, so a window spans
-	// AutoTuneEvery/LambdaR time units). Ignored under LegacyTuner.
-	TuneHorizon float64
-	// TuneCooldown is the minimum number of tuning passes between applied
-	// migrations (default 2 — one window of silence after a migration;
-	// sustained churn is damped by the economics gate, not by deafness);
-	// flipping back to the configuration a migration just left is held
-	// for twice as long. Ignored under LegacyTuner.
-	TuneCooldown int
-	// DriftSense scales how strongly observed access-pattern churn shrinks
-	// the amortization horizon (default 4). Ignored under LegacyTuner.
-	DriftSense float64
 
 	autoCost bool
 }
+
+// The retune controller's fixed policy (see tuner.Controller): a proposal
+// migrates only when its modelled C_D gain over the amortization horizon
+// exceeds the predicted migration cost. The horizon itself is recomputed
+// every tuning pass — four assessment windows, see tunePass.
+const (
+	// tuneCooldown is the minimum number of tuning passes between applied
+	// migrations: one window of silence after a migration (sustained churn
+	// is damped by the economics gate, not by deafness). Flipping back to
+	// the configuration a migration just left is held for twice as long.
+	tuneCooldown = 2
+	// driftSense scales how strongly observed access-pattern churn shrinks
+	// the amortization horizon.
+	driftSense = 4
+)
 
 func (o *Options) fill() error {
 	if o.NumAttrs <= 0 || o.NumAttrs > query.MaxAttrs {
@@ -178,16 +171,6 @@ func (o *Options) fill() error {
 	}
 	if o.MigrateStepTuples == 0 {
 		o.MigrateStepTuples = 64
-	}
-	if !o.LegacyTuner {
-		// TuneHorizon 0 stays 0 here: it means auto, recomputed every
-		// tuning pass from the calibrated request rate (see tunePass).
-		if o.TuneCooldown == 0 {
-			o.TuneCooldown = 2
-		}
-		if o.DriftSense == 0 {
-			o.DriftSense = 4
-		}
 	}
 	return nil
 }
@@ -298,9 +281,8 @@ func New(opts Options) (*AdaptiveIndex, error) {
 		MinGain:       opts.MinGain,
 		UseExhaustive: opts.NumAttrs <= 4 && opts.BitBudget <= 16,
 		Opt:           tuner.Options{MaxBitsPerAttr: opts.MaxBitsPerAttr},
-		Horizon:       opts.TuneHorizon,
-		Cooldown:      opts.TuneCooldown,
-		DriftSense:    opts.DriftSense,
+		Cooldown:      tuneCooldown,
+		DriftSense:    driftSense,
 		DrainRate:     drainRate,
 	}
 	a.mu.Lock()
@@ -457,10 +439,11 @@ func (a *AdaptiveIndex) tunePass() (migrated bool, active bitindex.Config) {
 	// predicted-vs-realized accounting. The window's statistics were
 	// consumed; the next window re-evaluates on fresh ones.
 	if !(a.incremental && a.ix.Migrating()) {
-		if !a.opts.LegacyTuner && a.opts.TuneHorizon == 0 && params.LambdaR > 0 {
-			// Auto horizon: four assessment windows, converted from the
-			// probe-counted cadence to model time units (inserts) through
-			// the request rate this pass was calibrated with.
+		if params.LambdaR > 0 {
+			// The migration amortization horizon is four assessment
+			// windows, converted from the probe-counted cadence to model
+			// time units (inserts) through the request rate this pass was
+			// calibrated with.
 			base := a.opts.AutoTuneEvery
 			if base == 0 {
 				base = 1024

@@ -182,21 +182,6 @@ type RunConfig struct {
 	BurstTicks   int64
 	// MinGain is the tuner's migration hysteresis.
 	MinGain float64
-	// LegacyTuner reverts retuning to the v1 policy — MinGain hysteresis
-	// only, no migration pricing, no cooldown — the A/B baseline the tuner
-	// bench compares against.
-	LegacyTuner bool
-	// TuneHorizon is the migration amortization horizon in ticks: a
-	// proposal migrates only when its modelled per-tick C_D gain over this
-	// horizon exceeds the predicted migration cost. 0 means 4x
-	// AssessInterval. Ignored under LegacyTuner.
-	TuneHorizon float64
-	// TuneCooldown is the minimum number of tuning passes between applied
-	// migrations per state (default 1). Ignored under LegacyTuner.
-	TuneCooldown int
-	// DriftSense scales how strongly observed access-pattern churn shrinks
-	// the amortization horizon (default 4). Ignored under LegacyTuner.
-	DriftSense float64
 	// IncrementalMigration spreads index migrations over ticks instead of
 	// relocating the whole state at once: each tick at most
 	// MigrateStepTuples tuples move, and searches probe both directories

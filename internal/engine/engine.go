@@ -635,29 +635,18 @@ func (e *Engine) tuneAll() {
 	}
 }
 
-// newController builds one state's long-lived retuning controller. The v2
-// policy is the default; RunConfig.LegacyTuner zeroes every v2 knob, which
-// reproduces the old MinGain-only behaviour exactly.
+// newController builds one state's long-lived retuning controller: a
+// proposal migrates only when its modelled per-tick C_D gain over four
+// assessment windows exceeds the predicted migration cost, with one pass of
+// cooldown between applied migrations per state.
 func (e *Engine) newController(spec *query.StateSpec) *tuner.Controller {
 	ctl := &tuner.Controller{
 		MinGain:       e.run.MinGain,
 		UseExhaustive: spec.NumAttrs() <= 4 && e.run.BitBudget <= 16,
 		Opt:           tuner.Options{MaxBitsPerAttr: e.domainCaps(spec)},
-	}
-	if e.run.LegacyTuner {
-		return ctl
-	}
-	ctl.Horizon = e.run.TuneHorizon
-	if ctl.Horizon == 0 {
-		ctl.Horizon = 4 * float64(e.run.AssessInterval)
-	}
-	ctl.Cooldown = e.run.TuneCooldown
-	if ctl.Cooldown == 0 {
-		ctl.Cooldown = 1
-	}
-	ctl.DriftSense = e.run.DriftSense
-	if ctl.DriftSense == 0 {
-		ctl.DriftSense = 4
+		Horizon:       4 * float64(e.run.AssessInterval),
+		Cooldown:      1,
+		DriftSense:    4,
 	}
 	if e.run.IncrementalMigration {
 		// The simulator drains MigrateStepTuples per tick, and a tick is

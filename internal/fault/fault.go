@@ -91,8 +91,7 @@ type Plan struct {
 	// assessment: the operator holds its write lock for this long,
 	// modeling the state reclamation a real low-memory signal triggers.
 	// Zero charges nothing (the default; existing chaos plans keep their
-	// timing). The contention benchmark drives its lock-convoy A/B with
-	// this knob — see internal/bench/contention.go.
+	// timing).
 	AssessCost time.Duration `json:"assess_cost_ns,omitempty"`
 	// CrashTicks schedules whole-run crashes: after the run completes
 	// simulated tick T (state quiesced, WAL synced) for each T listed, the

@@ -87,46 +87,6 @@ func TestShardedDigestMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEpochProbeMatchesHeldLockBaseline pins the probe-path refactor: the
-// lock-free epoch probe (the default) must reproduce the exact result set
-// and fault accounting of the held-lock baseline it replaced, with the
-// worker pool and shard fan-out at full width, chaos off and on. A digest
-// or count mismatch here means the epoch pointer lost the old-or-new
-// atomicity the read lock used to provide.
-func TestEpochProbeMatchesHeldLockBaseline(t *testing.T) {
-	chaos := fault.Plan{
-		Seed:         7,
-		PanicRate:    0.004,
-		SaturateRate: 0.01,
-		DelayRate:    0.002,
-		Delay:        10 * time.Microsecond,
-		AbortRate:    1.0,
-		PressureRate: 0.01,
-	}
-	for _, pc := range []struct {
-		label string
-		plan  fault.Plan
-	}{
-		{"fault-free", fault.None},
-		{"chaos", chaos},
-	} {
-		base := detConfig(8, 8, pc.plan)
-		base.HeldLockProbes = true
-		held, want := digestRun(t, base)
-		if held.Results == 0 {
-			t.Fatalf("%s: held-lock baseline produced no results; workload broken", pc.label)
-		}
-		got, d := digestRun(t, detConfig(8, 8, pc.plan))
-		assertSameResultSet(t, pc.label+" epoch vs held-lock", held, got, want, d)
-		if got.Restarts != held.Restarts {
-			t.Errorf("%s: restarts %d, held-lock %d", pc.label, got.Restarts, held.Restarts)
-		}
-		if got.Sheds != held.Sheds {
-			t.Errorf("%s: sheds %d, held-lock %d", pc.label, got.Sheds, held.Sheds)
-		}
-	}
-}
-
 // TestDispatchBatchDeterminism pins the deque-dispatch refactor along its
 // new tuning axis: the result set must not depend on the hand-off grain.
 // DispatchBatch changes how jobs clump onto deques and therefore how much
@@ -204,6 +164,9 @@ func TestShardedDigestMatchesSerialUnderFaults(t *testing.T) {
 		// survivors: same panics, same restarts, same forced sheds.
 		if got.Restarts != serial.Restarts {
 			t.Errorf("%s: restarts %d, serial %d", c.label, got.Restarts, serial.Restarts)
+		}
+		if got.Sheds != serial.Sheds {
+			t.Errorf("%s: sheds %d, serial %d", c.label, got.Sheds, serial.Sheds)
 		}
 		if got.IngestShed != serial.IngestShed {
 			t.Errorf("%s: ingest sheds %d, serial %d", c.label, got.IngestShed, serial.IngestShed)

@@ -40,16 +40,6 @@ type Config struct {
 	// AutoTuneEvery retunes a state after that many probes (default 2000;
 	// 0 disables live tuning).
 	AutoTuneEvery uint64
-	// LegacyTuner restores the v1 gain-only retune policy: no migration
-	// pricing, no cooldown, no drift-adaptive horizon. It exists as the
-	// measured A/B baseline for BENCH_tuner.json and the thrash
-	// regression; production runs leave it false.
-	LegacyTuner bool
-	// TuneHorizon, TuneCooldown and DriftSense forward to the v2 retune
-	// controller (see core.Options); zero takes the core defaults.
-	TuneHorizon  float64
-	TuneCooldown int
-	DriftSense   float64
 	// Explore is the router's suboptimal-route probability.
 	Explore float64
 
@@ -61,34 +51,23 @@ type Config struct {
 	ProbeWorkers int
 	// Shards, when positive, lock-stripes every operator's bit-index over
 	// that many sub-directories (a power of two, at most 256): probes of
-	// the same state then proceed concurrently under a read lock, and
-	// retune migrations drain incrementally instead of stopping the
-	// world. Zero keeps the flat index; probes of a state then serialize
-	// on its operator lock even when ProbeWorkers > 1.
+	// the same state then proceed concurrently without the operator lock
+	// (each pins the live index epoch with one atomic load), and retune
+	// migrations drain incrementally instead of stopping the world. Zero
+	// keeps the flat index; probes of a state then serialize on its
+	// operator lock even when ProbeWorkers > 1.
 	Shards int
-	// HeldLockProbes restores the pre-epoch probe path: sharded probes
-	// hold the operator lock for reading instead of pinning an index epoch
-	// with one atomic pointer load. The contention benchmark uses it as the
-	// baseline it measures the epoch path against; production runs leave
-	// it false.
-	HeldLockProbes bool
 	// CollectProbeCosts records every probe's modeled cost units, grouped
 	// by tick phase, into Result.ProbeCosts — the raw material for the
 	// offline throughput model in internal/bench. Off by default (it
 	// allocates per tick).
 	CollectProbeCosts bool
-	// DispatchBatch is the deque dispatch's hand-off grain: the source and
+	// DispatchBatch is the dispatch hand-off grain: the source and
 	// the workers move probe jobs between deques in chunks of this many
 	// (default 64), so the dispatch pays one lock acquisition per batch
 	// instead of one channel operation per composite. The digest is
 	// identical at any batch size; see the determinism tests.
 	DispatchBatch int
-	// LegacyDispatch restores the shared-channel dispatch this PR's deque
-	// path replaced: one probeCh feeding the worker pool, follow-up matches
-	// delivered through operator mailboxes, per-probe assessor updates. It
-	// exists as the measured A/B baseline for BENCH_pipeline.json and the
-	// bench-gate; production runs leave it false.
-	LegacyDispatch bool
 
 	// MailboxCap bounds every operator mailbox to that many queued
 	// messages (0 = unbounded, the pre-fault-tolerance behaviour).
@@ -233,10 +212,10 @@ type message struct {
 
 // operator is one STeM running as a goroutine: it owns its state's
 // AdaptiveIndex, plus the checkpoint its supervisor restarts it from after
-// a panic. Ingests, expiry and restores hold mu exclusively; probes hold
-// it for reading when the index is sharded (concurrent probes of one state
-// are then safe all the way down the lock-striped directory) and
-// exclusively when it is flat.
+// a panic. Ingests, expiry and restores hold mu exclusively. Probes of a
+// sharded index never take it: they pin the live incarnation through cur
+// and are safe all the way down the lock-striped directory. Probes of a
+// flat index hold mu exclusively.
 type operator struct {
 	id        int
 	spec      *query.StateSpec
@@ -244,7 +223,6 @@ type operator struct {
 	ckptEvery int
 	window    int64 // event-time window, immutable after construction
 	sharded   bool  // the index is lock-striped (Config.Shards > 0)
-	heldLock  bool  // legacy baseline: sharded probes hold mu (Config.HeldLockProbes)
 	// newIx / newRetained rebuild the operator's state from scratch on a
 	// supervisor restart.
 	newIx       func() (*core.AdaptiveIndex, error)
@@ -259,7 +237,7 @@ type operator struct {
 
 	durable bool // a CheckpointStore backs this operator (Config.Durable)
 	// partitioned enables the shard-affine batched ingest path: sharded
-	// epoch-probe runs under the deque dispatch with more than one worker.
+	// runs with more than one worker.
 	partitioned bool
 
 	mu       sync.RWMutex
@@ -327,14 +305,14 @@ type padBool struct {
 // probeScratch is one probe worker's reusable buffers: probe values and
 // match collection live per worker, not per operator, so concurrent
 // probes of the same state never share scratch. w is the worker's index
-// into the cost collector's slot array. The fields below vals/matches
-// serve only the deque dispatch: the inline-filter Matcher and index
-// enumeration scratch, the popped-batch and follow-up job buffers, the
-// composite freelist (dead driving composites recycled into the next
-// extension instead of allocating), and the tick-local statistics (result
-// count, per-op probe counts, router observations, per-(op, pattern)
-// assessor counts or — when the pattern space is too wide to materialize —
-// the claimed tuning ops) that flushWorkers merges at the barrier.
+// into the cost collector's slot array. Below vals/matches come the
+// inline-filter Matcher and index enumeration scratch, the worker's routing
+// rng, the popped-batch and follow-up job buffers, the composite freelist
+// (dead driving composites recycled into the next extension instead of
+// allocating), and the tick-local statistics (result count, per-op probe
+// counts, router observations, per-(op, pattern) assessor counts or — when
+// the pattern space is too wide to materialize — the claimed tuning ops)
+// that flushWorkers merges at the barrier.
 type probeScratch struct {
 	w       int
 	vals    []tuple.Value
@@ -489,8 +467,8 @@ func (o *operator) restore() (replayed, lost uint64, err error) {
 	}
 	o.length.Store(int64(o.ix.Len()))
 	// Publish the new incarnation to the lock-free probe path. A probe
-	// that already loaded the old pointer finishes against the old index —
-	// the same old-or-new atomicity the read lock provided.
+	// that already loaded the old pointer finishes against the old index:
+	// every search sees exactly one incarnation, old or new.
 	o.cur.Store(o.ix)
 	return replayed, lost, nil
 }
@@ -524,115 +502,34 @@ func (o *operator) tunerSummary() tuner.Summary {
 // degradation response (statistics are reconstructible; tuples are not).
 // The injected cost, when the fault plan sets one, is charged WHILE the
 // write lock is held: a real reclamation walks the state it is shrinking,
-// so the stall-under-lock is the faithful model — and it is precisely the
-// convoy that the held-lock probe baseline suffers and the epoch probe
-// path sidesteps, which is what internal/bench/contention.go measures.
+// so the stall-under-lock is the faithful model: it convoys ingests and
+// flat-index probes of this state, while sharded probes — which never take
+// the operator lock — run straight past it.
 func (o *operator) shedAssessment(cost time.Duration) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if cost > 0 {
-		//amrivet:lockhold fault injection: the stall models reclamation walking the locked state; the contention benchmark's A/B depends on it being under the lock
+		//amrivet:lockhold fault injection: the stall models reclamation walking the locked state, so it must be charged under the lock
 		time.Sleep(cost)
 	}
-	//amrivet:lockhold reclamation rewrites the assessor state o.mu guards; the epoch probe path never takes this lock, so the hold convoys only other maintenance
+	//amrivet:lockhold reclamation rewrites the assessor state o.mu guards; sharded probes never take this lock, so the hold convoys only maintenance and flat probes
 	o.ix.ShedAssessment()
 }
 
-// probe runs one search request against the state, returning the matches
-// and the index work performed. The returned slice aliases the worker's
-// scratch and is valid only until that worker's next probe (safe: the
-// worker consumes the matches before popping another job). A sharded index
-// is probed lock-free against the current epoch pointer, so probes of one
-// state fan out across workers without touching the operator lock; a flat
-// index demands exclusivity.
-//
-//amrivet:hotpath per-message probe in the worker pool
-func (o *operator) probe(c *tuple.Composite, sc *probeScratch) ([]*tuple.Tuple, bitindex.Stats) {
-	if o.sharded && !o.heldLock {
-		return o.probeEpoch(c, sc)
-	}
-	return o.probeLocked(c, sc)
-}
-
-// probeEpoch is the lock-free probe path: one atomic load pins the index
-// incarnation for the whole search — exactly the old-or-new atomicity the
-// read lock gave against a concurrent restore — and the sharded backend
-// synchronizes internally all the way down its striped directory. The
-// operator lock is never taken, so a retune, checkpoint or restore on the
-// serve goroutine cannot stall the probe fan-out behind it.
-func (o *operator) probeEpoch(c *tuple.Composite, sc *probeScratch) ([]*tuple.Tuple, bitindex.Stats) {
-	ix := o.cur.Load()
-	st := o.searchInto(ix, c, sc)
-	o.probes.Add(1)
-	o.length.Store(int64(ix.Len()))
-	return sc.matches, st
-}
-
-// probeLocked serves the flat index (which demands exclusivity) and the
-// HeldLockProbes baseline (which shares the lock for reading): the whole
-// search runs under the operator lock.
-func (o *operator) probeLocked(c *tuple.Composite, sc *probeScratch) ([]*tuple.Tuple, bitindex.Stats) {
-	if o.sharded {
-		o.mu.RLock()
-		defer o.mu.RUnlock()
-	} else {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-	}
-	//amrivet:lockhold flat index demands exclusivity for the whole search; the held-lock sharded form exists only as the contention benchmark's baseline
-	st := o.searchInto(o.ix, c, sc)
-	o.probes.Add(1)
-	o.length.Store(int64(o.ix.Len()))
-	return sc.matches, st
-}
-
-// searchInto runs one pattern search against the given index incarnation,
-// collecting matches into the worker's scratch. Locking (or the absence of
-// it) is the caller's business: the body reads only the immutable spec,
-// the cached window, and the passed-in index.
-func (o *operator) searchInto(ix *core.AdaptiveIndex, c *tuple.Composite, sc *probeScratch) bitindex.Stats {
-	p := o.spec.PatternForDone(c.Done)
-	vals := sc.vals[:o.spec.NumAttrs()]
-	for i, ja := range o.spec.JAS {
-		if p.Has(i) {
-			vals[i] = c.Parts[ja.Partner].Attrs[ja.PartnerAttr]
-		} else {
-			vals[i] = 0
-		}
-	}
-	drv := c.Driver()
-	driver := drv.Arrival
-	sc.matches = sc.matches[:0]
-	return ix.Search(p, vals, func(x *tuple.Tuple) bool {
-		if driver != 0 && x.Arrival >= driver {
-			return true // exactly-once: only the newest member drives a result
-		}
-		if driver != 0 && x.TS <= drv.TS-o.window {
-			return true // outside the driver's event-time window
-		}
-		ok := true
-		for i, ja := range o.spec.JAS {
-			if p.Has(i) && x.Attrs[ja.Attr] != vals[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			sc.matches = append(sc.matches, x)
-		}
-		return true
-	})
-}
-
-// probeMatch is the deque dispatch's probe: the same search as probe, but
-// through the inline-filter SearchMatch path — the candidate filter runs
-// inside the bucket scan (no per-candidate closure call), matches land in
-// the worker's scratch slice, and the assessor is NOT touched (the worker
+// probeMatch runs one search request against the state through the
+// inline-filter SearchMatch path, returning the matches and the index work
+// performed: the candidate filter runs inside the bucket scan (no
+// per-candidate closure call) and the assessor is NOT touched (the worker
 // defers the observation to the tick barrier, where flushWorkers batches it
-// through ObserveSearches). Sharded epoch probes pin the index incarnation
-// with one atomic load; the flat index still demands exclusivity and the
-// HeldLockProbes baseline still reads under the operator lock, exactly as
-// the legacy path's probeLocked.
+// through ObserveSearches). The returned slice aliases the worker's scratch
+// and is valid only until that worker's next probe (safe: the worker
+// consumes the matches before popping another job). A sharded index is
+// probed lock-free: one atomic load pins the index incarnation for the whole
+// search — old-or-new atomicity against a concurrent restore — and the
+// sharded backend synchronizes internally all the way down its striped
+// directory, so a retune, checkpoint or restore on the serve goroutine
+// cannot stall the probe fan-out behind the operator lock. A flat index
+// demands exclusivity.
 //
 //amrivet:hotpath batched-dispatch probe: inline-filter search with worker-owned scratch
 func (o *operator) probeMatch(c *tuple.Composite, sc *probeScratch) ([]*tuple.Tuple, bitindex.Stats) {
@@ -656,18 +553,12 @@ func (o *operator) probeMatch(c *tuple.Composite, sc *probeScratch) ([]*tuple.Tu
 	m.MinTS = drv.TS - o.window
 	sc.matches = sc.matches[:0]
 	var st bitindex.Stats
-	switch {
-	case o.sharded && !o.heldLock:
+	if o.sharded {
 		ix := o.cur.Load()
 		st, sc.matches = ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
-	case o.sharded:
-		o.mu.RLock()
-		//amrivet:lockhold HeldLockProbes baseline: the whole search under the read lock is the contention the A/B benchmark measures
-		st, sc.matches = o.ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
-		o.mu.RUnlock()
-	default:
+	} else {
 		o.mu.Lock()
-		//amrivet:lockhold flat index scratch demands exclusivity for the whole search, as in probeLocked
+		//amrivet:lockhold flat index scratch demands exclusivity for the whole search
 		st, sc.matches = o.ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
 		o.mu.Unlock()
 	}
@@ -694,22 +585,19 @@ type run struct {
 	// and Done exactly once — when handled, shed, or lost to a panic.
 	wg sync.WaitGroup
 
-	// probeCh feeds the shared probe worker pool under LegacyDispatch:
-	// serve goroutines forward composite messages here, workers execute
-	// them. A job's wg slot is released by the worker that handles (or
-	// sheds) it.
-	probeCh chan probeJob
 	costs   sim.CostTable
 	collect *costCollector // nil unless Config.CollectProbeCosts
 
-	// Deque dispatch state (nil/zero under LegacyDispatch): the dispatcher
-	// and its hand-off grain, the per-worker scratches flushWorkers merges,
-	// the materialized (op, pattern) space for deferred assessor counts (0
-	// = too wide, workers observe directly), the source's reusable
-	// job/router-observation buffers, and the per-tick operator-length
-	// snapshot (lengths only change in the ingest phase, so one snapshot
-	// taken at probe dispatch serves every routing decision of the tick —
-	// no per-hop atomic loads).
+	// Dispatch state: the work-stealing dispatcher and its hand-off grain,
+	// the per-worker scratches flushWorkers merges, the materialized (op,
+	// pattern) space for deferred assessor counts (0 = too wide, workers
+	// observe directly), the source's reusable job/router-observation
+	// buffers, and the per-tick operator-length snapshot (lengths only
+	// change in the ingest phase, so one snapshot taken at probe dispatch
+	// serves every routing decision of the tick — no per-hop atomic loads).
+	// rt needs no lock: the source goroutine writes it only in flushWorkers,
+	// between the probe barrier (p.wg.Wait, after every worker's last
+	// NextWith read of the tick) and the next tick's first deque push.
 	dsp       *dispatcher
 	batch     int
 	scratches []*probeScratch
@@ -721,10 +609,6 @@ type run struct {
 	srcRng    *rand.Rand
 	srcDec    uint64
 	srcExp    uint64
-
-	nextHop     func(done uint32) int
-	observe     func(i, j, matches, stateLen int)
-	recordRoute func(total, explored uint64)
 
 	// storeMu guards storeErr: the first durable-store failure, recorded by
 	// whichever goroutine hits it and surfaced as the run's error. Later
@@ -776,17 +660,15 @@ func (p *run) firstStoreErr() error {
 	return p.storeErr
 }
 
-// probeJob is one unit of worker-pool work: a composite probe, or — on the
-// partitioned ingest path — a shard-affine insert batch (ins non-nil): the
-// worker inserts every tuple into insIx and signals insDone once. Insert
+// probeJob is one unit of deque work: a probe (o+comp) or — on the
+// partitioned ingest path — a shard-affine insert batch (ins != nil): the
+// worker inserts every tuple into ins.ix and signals ins.done once. Insert
 // jobs are not tracked by run.wg; the serve goroutine that fanned them out
-// waits on insDone before it runs the batch's serial bookkeeping.
-// probeJob is one unit of deque work: a probe (o+comp) or, rarely, a
-// shard-affine insert fan-out (ins != nil). The insert fields live behind a
-// pointer deliberately — jobs are copied on every push/pop/steal and zeroed
-// on every consume, and at three words the copies compile to plain register
-// moves instead of duffcopy (which a 56-byte flat layout put at ~4% of a
-// drift-run profile).
+// waits on ins.done before it runs the batch's serial bookkeeping. The
+// insert fields live behind a pointer deliberately — jobs are copied on
+// every push/pop/steal and zeroed on every consume, and at three words the
+// copies compile to plain register moves instead of duffcopy (which a
+// 56-byte flat layout put at ~4% of a drift-run profile).
 type probeJob struct {
 	o    *operator
 	comp *tuple.Composite
@@ -852,49 +734,13 @@ func (p *run) accountShed(target int, m message) {
 	}
 }
 
-// deliver routes one message to an operator mailbox with full fault and
-// overload accounting. fromSource selects blocking semantics (backpressure
-// may stall the workload source but never an operator). Every path either
-// enqueues the message with wg held, or sheds it with wg released.
-func (p *run) deliver(target int, m message, fromSource bool) {
-	o := p.ops[target]
-	if o.failed.Load() {
-		p.accountShed(target, m)
-		return
-	}
-	// Injected saturation: the delivery behaves as if the mailbox were
-	// full under a drop policy. Keyed to ingest deliveries only, so the
-	// schedule is independent of probe interleaving.
-	if m.ingest != nil && p.inj.Decide(fault.MailboxSaturate, target) {
-		p.accountShed(target, m)
-		return
-	}
-	if p.inj.Decide(fault.MailboxDelay, target) {
-		p.delays.Add(1)
-		time.Sleep(p.inj.Delay())
-	}
-	p.wg.Add(1)
-	var r PushResult
-	if fromSource {
-		r = o.mb.PushWait(m)
-	} else {
-		r = o.mb.Push(m)
-	}
-	// Shed results are accounted by the mailbox's onShed hook (which sees
-	// the actual dropped message — the victim head under drop-oldest).
-	// A closed mailbox refuses the message outright: account it here.
-	if r == PushClosed {
-		p.accountShed(target, m)
-		p.wg.Done()
-	}
-}
-
 // deliverIngestBatch routes one tick's arrivals for a single operator with
-// deliver's per-message fault and overload accounting, but one batched
-// mailbox push for the survivors — one lock acquisition per (operator,
-// tick) instead of one per tuple. The injector decisions run first, in
-// arrival order, so every (kind, actor) decision sequence is exactly the
-// per-message schedule; only the lock traffic changes.
+// per-message fault and overload accounting, but one batched mailbox push
+// (blocking: backpressure may stall the workload source) for the survivors —
+// one lock acquisition per (operator, tick) instead of one per tuple. The
+// injector decisions run in arrival order, so every (kind, actor) decision
+// sequence is a per-message schedule. Every message is either enqueued with
+// wg held, or shed with wg released.
 func (p *run) deliverIngestBatch(target int, ts []*tuple.Tuple) {
 	o := p.ops[target]
 	msgs := make([]message, 0, len(ts))
@@ -923,8 +769,9 @@ func (p *run) deliverIngestBatch(target int, ts []*tuple.Tuple) {
 	}
 	p.wg.Add(len(msgs))
 	for i, r := range o.mb.PushWaitBatch(msgs) {
-		// Shed results are accounted by the mailbox's onShed hook, as in
-		// deliver; a closed mailbox leaves the refused message to us.
+		// Shed results are accounted by the mailbox's onShed hook (which sees
+		// the actual dropped message — the victim head under drop-oldest).
+		// A closed mailbox refuses the message outright: account it here.
 		if r == PushClosed {
 			p.accountShed(target, msgs[i])
 			p.wg.Done()
@@ -964,57 +811,7 @@ func (p *run) handleIngest(o *operator, msg message) {
 	p.ingested.Add(1)
 }
 
-// handleComp processes one probe on a worker goroutine.
-func (p *run) handleComp(o *operator, comp *tuple.Composite, sc *probeScratch) {
-	if p.inj.Decide(fault.MemoryPressure, o.id) {
-		o.shedAssessment(p.inj.AssessCost())
-		p.pressure.Add(1)
-	}
-	matches, st := o.probe(comp, sc)
-	if p.collect != nil {
-		p.collect.add(sc.w, ProbeCost{Op: o.id, Units: float64(
-			sim.Units(st.Hashes)*p.costs.Hash +
-				sim.Units(st.Buckets)*p.costs.Bucket +
-				sim.Units(st.DirScans)*p.costs.DirScan +
-				sim.Units(st.Tuples)*p.costs.Compare)})
-	}
-	if comp.Count() == 1 {
-		src := bits.TrailingZeros32(comp.Done)
-		p.observe(src, o.id, len(matches), int(o.length.Load()))
-	}
-	for _, m := range matches {
-		nc := comp.Extend(m)
-		if nc.Complete(p.n) {
-			p.results.Add(1)
-			if p.cfg.OnResult != nil {
-				p.cfg.OnResult(nc)
-			}
-			continue
-		}
-		if next := p.nextHop(nc.Done); next >= 0 {
-			p.deliver(next, message{comp: nc}, false)
-		}
-	}
-}
-
-// probeWorker drains the shared probe channel until it closes. Follow-up
-// deliveries from a worker use the non-blocking mailbox push, so workers
-// always make progress and the pool cannot deadlock against the serve
-// goroutines feeding it.
-func (p *run) probeWorker(sc *probeScratch) {
-	for job := range p.probeCh {
-		// The target may have failed permanently after the job was
-		// dispatched; shed it exactly as a mailbox drain would.
-		if job.o.failed.Load() {
-			p.accountShed(job.o.id, message{comp: job.comp})
-		} else {
-			p.handleComp(job.o, job.comp, sc)
-		}
-		p.wg.Done()
-	}
-}
-
-// handleCompDeque is handleComp's deque-dispatch twin: the probe runs
+// handleCompDeque processes one probe on a worker goroutine: the probe runs
 // through the inline-filter probeMatch, follow-up composites go to the
 // worker's pending batch (one deque push per popped batch, no mailbox in
 // the loop), and every statistic that feeds tuning or routing is deferred
@@ -1068,7 +865,7 @@ func (p *run) handleCompDeque(o *operator, comp *tuple.Composite, sc *probeScrat
 	}
 }
 
-// dequeWorker is one deque-dispatch worker: pop a batch off the own deque,
+// dequeWorker is one probe worker: pop a batch off the own deque,
 // steal half a victim's queue when dry, park when the whole dispatcher is
 // empty. Follow-up jobs accumulated during a batch are pushed to the own
 // deque in one operation (their wg slots were taken at creation, before the
@@ -1129,24 +926,20 @@ func (p *run) dequeWorker(sc *probeScratch) {
 
 // serve drains the mailbox until closed-and-empty: arrivals are handled
 // inline (state mutation stays on the operator's goroutine, so an injected
-// panic is attributable to it), probes are forwarded to the worker pool
-// (LegacyDispatch only — the deque dispatch never routes probes through
-// mailboxes). A partitioned operator gathers every immediately available
-// arrival into one batch and fans the index inserts out shard-affinely;
-// batches that are too small to pay for the fan-out, or that contain a
-// pre-decided panic, fall back to the per-message path. A panic escapes to
-// the recover in superviseOnce, and the interrupted batch remainder is
-// resumed by the drain at the top of the loop.
+// panic is attributable to it); probes never pass through mailboxes — the
+// source and the workers hand them over on the worker deques. A partitioned
+// operator gathers every immediately available arrival into one batch and
+// fans the index inserts out shard-affinely; batches that are too small to
+// pay for the fan-out, or that contain a pre-decided panic, fall back to
+// the per-message path. A panic escapes to the recover in superviseOnce,
+// and the interrupted batch remainder is resumed by the drain at the top of
+// the loop.
 func (p *run) serve(o *operator) {
 	for {
 		p.drainPendingBatch(o)
 		msg, ok := o.mb.Pop()
 		if !ok {
 			return
-		}
-		if msg.comp != nil {
-			p.probeCh <- probeJob{o: o, comp: msg.comp}
-			continue
 		}
 		if !o.partitioned {
 			o.inflight = msg
@@ -1439,17 +1232,16 @@ func newRun(cfg Config) (*run, error) {
 
 	n := q.NumStreams()
 	p := &run{
-		cfg:     cfg,
-		n:       n,
-		q:       q,
-		prof:    prof,
-		gen:     gen,
-		ops:     make([]*operator, n),
-		inj:     fault.New(cfg.Fault, n),
-		store:   cfg.Durable,
-		sheds:   make([]padUint64, n),
-		probeCh: make(chan probeJob, cfg.ProbeWorkers),
-		costs:   sim.DefaultCosts(),
+		cfg:   cfg,
+		n:     n,
+		q:     q,
+		prof:  prof,
+		gen:   gen,
+		ops:   make([]*operator, n),
+		inj:   fault.New(cfg.Fault, n),
+		store: cfg.Durable,
+		sheds: make([]padUint64, n),
+		costs: sim.DefaultCosts(),
 	}
 	if cfg.CollectProbeCosts {
 		p.collect = newCostCollector(cfg.ProbeWorkers)
@@ -1471,10 +1263,6 @@ func newRun(cfg Config) (*run, error) {
 			AutoTuneEvery: cfg.AutoTuneEvery,
 			Seed:          cfg.Seed + uint64(s),
 			Shards:        cfg.Shards,
-			LegacyTuner:   cfg.LegacyTuner,
-			TuneHorizon:   cfg.TuneHorizon,
-			TuneCooldown:  cfg.TuneCooldown,
-			DriftSense:    cfg.DriftSense,
 		}
 		if p.inj != nil {
 			id := s
@@ -1494,8 +1282,7 @@ func newRun(cfg Config) (*run, error) {
 			ckptEvery:   cfg.CheckpointEvery,
 			window:      q.WindowTicks,
 			sharded:     cfg.Shards > 0,
-			heldLock:    cfg.HeldLockProbes,
-			partitioned: cfg.Shards > 0 && !cfg.HeldLockProbes && !cfg.LegacyDispatch && cfg.ProbeWorkers > 1,
+			partitioned: cfg.Shards > 0 && cfg.ProbeWorkers > 1,
 			durable:     cfg.Durable != nil,
 			newIx:       newIx,
 			newRetained: newRetained,
@@ -1511,48 +1298,25 @@ func newRun(cfg Config) (*run, error) {
 		p.ops[s] = o
 	}
 
-	rt := router.New(n, cfg.Explore, cfg.Seed+99)
-	var rtMu sync.Mutex
-	p.rt = rt
-	p.nextHop = func(done uint32) int {
-		lens := make([]int, n)
-		for i, o := range p.ops {
-			lens[i] = int(o.length.Load())
-		}
-		rtMu.Lock()
-		defer rtMu.Unlock()
-		return rt.Next(done, lens)
+	p.rt = router.New(n, cfg.Explore, cfg.Seed+99)
+	p.dsp = newDispatcher(cfg.ProbeWorkers)
+	p.batch = cfg.DispatchBatch
+	p.tickLens = make([]int, n)
+	p.srcRng = rand.New(rand.NewPCG(cfg.Seed+199, cfg.Seed^0x85ebca6b))
+	// Materialize the deferred-observation table only when the (op,
+	// pattern) space is small enough; wider queries fall back to
+	// direct (mutex-per-probe) observation on the workers.
+	if p.maxAttrs <= 16 && n*(1<<uint(p.maxAttrs)) <= 1<<20 {
+		p.patSpace = 1 << uint(p.maxAttrs)
 	}
-	p.observe = func(i, j, matches, stateLen int) {
-		rtMu.Lock()
-		defer rtMu.Unlock()
-		rt.ObservePair(i, j, matches, stateLen)
-	}
-	p.recordRoute = func(total, explored uint64) {
-		rtMu.Lock()
-		defer rtMu.Unlock()
-		rt.RecordDecisions(total, explored)
-	}
-	if !cfg.LegacyDispatch {
-		p.dsp = newDispatcher(cfg.ProbeWorkers)
-		p.batch = cfg.DispatchBatch
-		p.tickLens = make([]int, n)
-		p.srcRng = rand.New(rand.NewPCG(cfg.Seed+199, cfg.Seed^0x85ebca6b))
-		// Materialize the deferred-observation table only when the (op,
-		// pattern) space is small enough; wider queries fall back to
-		// direct (mutex-per-probe) observation on the workers.
-		if p.maxAttrs <= 16 && n*(1<<uint(p.maxAttrs)) <= 1<<20 {
-			p.patSpace = 1 << uint(p.maxAttrs)
+	p.scratches = make([]*probeScratch, cfg.ProbeWorkers)
+	for w := range p.scratches {
+		sc := &probeScratch{w: w, vals: make([]tuple.Value, p.maxAttrs), nprobes: make([]uint64, n)}
+		sc.rng = rand.New(rand.NewPCG(cfg.Seed+199+uint64(w+1)*0x9e3779b9, cfg.Seed^uint64(w)*0xc2b2ae35))
+		if p.patSpace > 0 {
+			sc.obs = make([]uint64, n*p.patSpace)
 		}
-		p.scratches = make([]*probeScratch, cfg.ProbeWorkers)
-		for w := range p.scratches {
-			sc := &probeScratch{w: w, vals: make([]tuple.Value, p.maxAttrs), nprobes: make([]uint64, n)}
-			sc.rng = rand.New(rand.NewPCG(cfg.Seed+199+uint64(w+1)*0x9e3779b9, cfg.Seed^uint64(w)*0xc2b2ae35))
-			if p.patSpace > 0 {
-				sc.obs = make([]uint64, n*p.patSpace)
-			}
-			p.scratches[w] = sc
-		}
+		p.scratches[w] = sc
 	}
 	return p, nil
 }
@@ -1639,7 +1403,7 @@ func (p *run) flushWorkers() {
 		sc.dueOps = sc.dueOps[:0]
 	}
 	if ndec > 0 {
-		p.recordRoute(ndec, nexp)
+		p.rt.RecordDecisions(ndec, nexp)
 	}
 	sort.Slice(p.robsBuf, func(a, b int) bool {
 		x, y := p.robsBuf[a], p.robsBuf[b]
@@ -1655,7 +1419,7 @@ func (p *run) flushWorkers() {
 		return x.stateLen < y.stateLen
 	})
 	for _, ro := range p.robsBuf {
-		p.observe(ro.i, ro.j, ro.matches, ro.stateLen)
+		p.rt.ObservePair(ro.i, ro.j, ro.matches, ro.stateLen)
 	}
 	p.robsBuf = p.robsBuf[:0]
 	if p.patSpace > 0 {
@@ -1702,23 +1466,15 @@ func (p *run) execute(startTick int64) (*Result, error) {
 	}
 
 	// Probe workers: the pool every operator's probes fan out over. Each
-	// worker owns its scratch for the life of the run. The deque dispatch
-	// gives each worker its own deque plus work stealing; LegacyDispatch
-	// restores the shared channel.
+	// worker owns its scratch and its deque for the life of the run, and
+	// steals from its siblings when dry.
 	var workerWG sync.WaitGroup
-	for w := 0; w < cfg.ProbeWorkers; w++ {
+	for _, sc := range p.scratches {
 		workerWG.Add(1)
-		if p.dsp != nil {
-			go func(sc *probeScratch) {
-				defer workerWG.Done()
-				p.dequeWorker(sc)
-			}(p.scratches[w])
-			continue
-		}
-		go func(w int) {
+		go func(sc *probeScratch) {
 			defer workerWG.Done()
-			p.probeWorker(&probeScratch{w: w, vals: make([]tuple.Value, p.maxAttrs)})
-		}(w)
+			p.dequeWorker(sc)
+		}(sc)
 	}
 
 	crashTick, crashArmed := cfg.Fault.NextCrash(startTick - 1)
@@ -1758,20 +1514,9 @@ func (p *run) execute(startTick int64) (*Result, error) {
 			}
 		}
 		p.wg.Wait()
-		if p.dsp != nil {
-			p.dispatchProbes(batch)
-		} else {
-			for _, t := range batch {
-				comp := tuple.NewComposite(n, t)
-				if next := p.nextHop(comp.Done); next >= 0 {
-					p.deliver(next, message{comp: comp}, true)
-				}
-			}
-		}
+		p.dispatchProbes(batch)
 		p.wg.Wait()
-		if p.dsp != nil {
-			p.flushWorkers()
-		}
+		p.flushWorkers()
 		if p.collect != nil {
 			p.collect.flush()
 		}
@@ -1799,10 +1544,7 @@ func (p *run) execute(startTick int64) (*Result, error) {
 		o.mb.Close()
 	}
 	opWG.Wait()
-	close(p.probeCh)
-	if p.dsp != nil {
-		p.dsp.close()
-	}
+	p.dsp.close()
 	workerWG.Wait()
 
 	res := &Result{

@@ -21,7 +21,7 @@ import (
 
 // newTestOperator assembles a real operator for state 0 of the four-way
 // join, mirroring Run's construction. shards > 0 builds the lock-striped
-// index and the shared-lock probe path.
+// index and the lock-free epoch probe path.
 func newTestOperator(t *testing.T, q *query.Query, autoTuneEvery uint64, seed uint64, shards int) *operator {
 	t.Helper()
 	spec := q.States[0]
@@ -64,11 +64,30 @@ func TestConcurrentProbeRetuneRace(t *testing.T) {
 }
 
 // TestConcurrentProbeRetuneRaceSharded is the same hammer against the
-// lock-striped index: probes hold the operator lock for reading, so they
-// genuinely overlap each other AND the incremental migrations the insert
-// path advances.
+// lock-striped index: probes pin the index epoch and never take the
+// operator lock, so they genuinely overlap each other AND the incremental
+// migrations the insert path advances.
 func TestConcurrentProbeRetuneRaceSharded(t *testing.T) {
 	runConcurrentProbeRetune(t, 8)
+}
+
+// probeAndObserve is one probe plus the statistics half the pipeline defers
+// to its tick barrier: record the access pattern and run the tuning pass the
+// observation claims. Here the pass runs mid-traffic instead — a harsher
+// interleaving than Run's. A sharded index tunes lock-free; a flat index
+// migrates stop-the-world, so the operator lock stands in for the barrier's
+// quiescence.
+func probeAndObserve(op *operator, comp *tuple.Composite, sc *probeScratch) {
+	op.probeMatch(comp, sc)
+	ix := op.cur.Load()
+	if !ix.ObserveSearches(op.spec.PatternForDone(comp.Done), 1) {
+		return
+	}
+	if !op.sharded {
+		op.mu.Lock()
+		defer op.mu.Unlock()
+	}
+	ix.TuneClaimed()
 }
 
 func runConcurrentProbeRetune(t *testing.T, shards int) {
@@ -106,10 +125,10 @@ func runConcurrentProbeRetune(t *testing.T, shards int) {
 		workers.Add(1)
 		go func(slot, src int) {
 			defer workers.Done()
-			sc := &probeScratch{vals: make([]tuple.Value, op.spec.NumAttrs())}
+			sc := &probeScratch{vals: make([]tuple.Value, op.spec.NumAttrs()), nprobes: make([]uint64, 1)}
 			for _, tp := range byStream[src] {
 				comp := tuple.NewComposite(q.NumStreams(), tp)
-				op.probe(comp, sc)
+				probeAndObserve(op, comp, sc)
 				probed[slot]++
 			}
 		}(i, s)
