@@ -5,7 +5,7 @@
 GO ?= go
 AMRIVET := bin/amrivet
 
-.PHONY: all build vet lint prune-baseline fixtures test race chaos chaos-sweep bench-smoke bench-json bench-measure bench-tuner bench-gate profile ci clean
+.PHONY: all build vet lint prune-baseline fixtures test race chaos chaos-sweep bench-smoke profile ci clean
 
 all: build
 
@@ -74,54 +74,19 @@ chaos-sweep:
 		-expect-fail -out chaos-repro.json
 	$(GO) run -race ./cmd/amripipe -replay chaos-repro.json; test $$? -eq 1
 
-# bench-smoke proves the hot-path benchmarks still run (1 iteration each);
-# it is a compile-and-execute gate, not a performance measurement.
+# bench-smoke proves every package's benchmarks still run (1 iteration
+# each): the paper-experiment benchmarks in the root package and the
+# hot-path ones. A compile-and-execute gate, not a performance measurement
+# (that is `bash benchmark/run.sh`, see BENCHMARK.json).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bitindex ./internal/hh ./internal/stem ./internal/assess ./internal/bench
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bitindex ./internal/hh ./internal/assess
 
-# bench-json regenerates the committed sharded-index worker-sweep artifact
-# (full horizon; -check enforces the digest-equality and >=2x-at-8-workers
-# acceptance bars plus the "flat never beats sharded" dominance).
-bench-json:
-	$(GO) run ./cmd/amribench -json -check -out BENCH_shard.json
-
-# bench-measure regenerates the committed measured pipeline artifact: the
-# real pipeline timed across the 1/2/8-worker sweep on the drift workload
-# (median of 5 in-process reps per point) next to the modeled LPT rows over
-# the same trace. The embedded Check enforces that every measured digest
-# equals the serial reference.
-bench-measure:
-	$(GO) run ./cmd/amribench -measure -check -out BENCH_pipeline.json
-
-# bench-tuner regenerates the committed retune-under-load artifact: the
-# deterministic thrash A/B (v1 vs v2 tuner.Controller on an oscillating
-# drift pattern) plus the measured notune/v2 pair on the drift workload
-# (best of 5 in-process reps per point, digests checked against the
-# no-tuning reference). The embedded Check enforces zero v2 flip-flops vs
-# >=2 for the v1 policy, and v2 p99 tick latency within 1.25x of the
-# no-tuning run.
-bench-tuner:
-	$(GO) run ./cmd/amribench -tuner -check -out BENCH_tuner.json
-
-# bench-gate re-measures at quick horizon and gates against the committed
-# artifacts: fails on any digest drift, on a missing committed row, on
-# controller thrash, on v2 p99 past 1.25x notune, or on a >10% regression
-# of the headline point (widest-pool tuples/sec; v2 p99) vs the committed
-# value. Absolute numbers are only compared on the committed setup — same
-# seed/ticks/shards and at least the baseline's core count; otherwise the
-# pipeline gate prints that it skipped the comparison and the tuner gate
-# compares the v2/notune ratio (PipelineBenchResult.Gate,
-# TunerBenchResult.Gate).
-bench-gate:
-	$(GO) run ./cmd/amribench -measure -quick -gate BENCH_pipeline.json
-	$(GO) run ./cmd/amribench -tuner -quick -gate BENCH_tuner.json
-
-# profile runs the measured bench once with CPU, mutex and allocation
-# profiles enabled; inspect with `go tool pprof cpu.prof` etc.
+# profile runs the sharded pipeline (BenchmarkPipelineWallClock: the drift
+# configuration benchmark/ measures) three times with CPU, mutex and
+# allocation profiles enabled; inspect with `go tool pprof cpu.prof` etc.
 profile:
-	$(GO) run ./cmd/amribench -measure -reps 1 -warmup 0 -workers 8 -out /dev/null \
-		-cpuprofile cpu.prof -mutexprofile mutex.prof -memprofile mem.prof
-	@echo "wrote cpu.prof mutex.prof mem.prof"
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineWallClock$$' -benchtime 3x \
+		-cpuprofile cpu.prof -mutexprofile mutex.prof -memprofile mem.prof .
 
 ci: build lint test race
 

@@ -8,6 +8,7 @@ package amri_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"amri/internal/bench"
@@ -15,7 +16,6 @@ import (
 	"amri/internal/core"
 	"amri/internal/engine"
 	"amri/internal/pipeline"
-	"amri/internal/stream"
 )
 
 func quickOpts() bench.Options {
@@ -171,18 +171,24 @@ func BenchmarkReportRendering(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineWallClock measures the concurrent engine's real
-// throughput (tuples ingested per wall-clock second) on a fixed workload —
-// the live-system counterpart of the simulated experiments.
+// BenchmarkPipelineWallClock is the profiling vehicle behind `make
+// profile`: the sharded pipeline at the configuration benchmark/workloads.go
+// fixes for its drift workload (8 shards, min(2, nproc) workers, mailbox cap
+// 64, explore 0.1, 300 ticks, seed 1), so cpu/mutex/mem profiles are of the
+// measured path. Its tuples/s is not a claimable number — throughput claims
+// come from `bash benchmark/run.sh`, parent vs change on one host.
 func BenchmarkPipelineWallClock(b *testing.B) {
-	prof := stream.DriftProfile()
-	prof.LambdaD = 20
 	for i := 0; i < b.N; i++ {
 		r, err := pipeline.Run(pipeline.Config{
-			Profile: prof,
-			Seed:    uint64(i + 1),
-			Ticks:   60,
-			Method:  core.MethodCDIAHighest,
+			Seed:          1,
+			Ticks:         300,
+			Method:        core.MethodCDIAHighest,
+			AutoTuneEvery: 2000,
+			Explore:       0.1,
+			ProbeWorkers:  min(2, runtime.NumCPU()),
+			Shards:        8,
+			MailboxCap:    64,
+			ShedPolicy:    pipeline.PolicyBlock,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -1,7 +1,7 @@
 // Command amripipe runs the concurrent goroutine-per-operator engine on the
 // synthetic workload and reports real wall-clock throughput — the live twin
-// of the simulation that cmd/amribench measures in virtual time. With
-// -chaos-seed it doubles as a fault-injection harness: operators panic and
+// of the virtual-clock simulation cmd/amribench regenerates the paper's
+// figures on. With -chaos-seed it doubles as a fault-injection harness: operators panic and
 // restart from checkpoints, deliveries stall or saturate, and migrations
 // abort mid-step, all on a reproducible seeded schedule.
 //

@@ -66,24 +66,60 @@ func assertSameResultSet(t *testing.T, label string, serial, got *Result, want, 
 
 // TestShardedDigestMatchesSerial: the 1-worker flat-index run is the
 // reference; every combination of worker pool size and shard count must
-// reproduce its exact result set.
+// reproduce its exact result set. The last case never retunes (a cadence
+// no run reaches) against a reference that does: the tuner moves access
+// structures, never results.
 func TestShardedDigestMatchesSerial(t *testing.T) {
 	serial, want := digestRun(t, detConfig(1, 0, fault.None))
 	if serial.Results == 0 {
 		t.Fatal("serial run produced no results; workload broken")
 	}
+	if serial.Retunes == 0 {
+		t.Fatal("serial reference never retuned; the no-tuning case would compare nothing")
+	}
 	cases := []struct {
 		label           string
 		workers, shards int
+		tuneEvery       uint64 // 0 keeps detConfig's cadence
 	}{
-		{"1 worker, 1 shard", 1, 1},
-		{"4 workers, flat index", 4, 0},
-		{"4 workers, 8 shards", 4, 8},
-		{"8 workers, 8 shards", 8, 8},
+		{"1 worker, 1 shard", 1, 1, 0},
+		{"4 workers, flat index", 4, 0, 0},
+		{"4 workers, 8 shards", 4, 8, 0},
+		{"8 workers, 8 shards", 8, 8, 0},
+		{"4 workers, 8 shards, no tuning", 4, 8, 1 << 62},
 	}
 	for _, c := range cases {
-		got, d := digestRun(t, detConfig(c.workers, c.shards, fault.None))
+		cfg := detConfig(c.workers, c.shards, fault.None)
+		if c.tuneEvery != 0 {
+			cfg.AutoTuneEvery = c.tuneEvery
+		}
+		got, d := digestRun(t, cfg)
 		assertSameResultSet(t, c.label, serial, got, want, d)
+		if c.tuneEvery != 0 && got.Retunes != 0 {
+			t.Errorf("%s: %d retunes, want 0", c.label, got.Retunes)
+		}
+	}
+}
+
+// TestGoldenDigest pins the result set across commits: every other test in
+// this file compares against a reference computed in the same process, so a
+// change that shifts the result set consistently in all configurations
+// passes them all. The flat 1-worker run of the drift workload (seed 1, 300
+// ticks, the configuration benchmark/workloads.go fixes) must keep
+// producing exactly this set.
+func TestGoldenDigest(t *testing.T) {
+	_, d := digestRun(t, Config{
+		Seed:          1,
+		Ticks:         300,
+		Method:        core.MethodCDIAHighest,
+		AutoTuneEvery: 2000,
+		Explore:       0.1,
+		MailboxCap:    64,
+		ShedPolicy:    PolicyBlock,
+		ProbeWorkers:  1,
+	})
+	if got := fmt.Sprintf("%016x-%d", d.xor, d.n); got != "9508ed9115ef9133-3503" {
+		t.Fatalf("drift seed-1 result set drifted: digest %s, want 9508ed9115ef9133-3503", got)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"amri/internal/fault"
 	"amri/internal/query"
 	"amri/internal/router"
-	"amri/internal/sim"
 	"amri/internal/storage"
 	"amri/internal/stream"
 	"amri/internal/tuner"
@@ -37,8 +36,9 @@ type Config struct {
 	Method core.Method
 	// BitBudget is the IC bits per state (default 12).
 	BitBudget int
-	// AutoTuneEvery retunes a state after that many probes (default 2000;
-	// 0 disables live tuning).
+	// AutoTuneEvery retunes a state after that many probes. 0 means the
+	// default, 2000; there is no off value — to run without live tuning
+	// pass a cadence no run reaches (the determinism tests use 1 << 62).
 	AutoTuneEvery uint64
 	// Explore is the router's suboptimal-route probability.
 	Explore float64
@@ -57,11 +57,6 @@ type Config struct {
 	// keeps the flat index; probes of a state then serialize on its
 	// operator lock even when ProbeWorkers > 1.
 	Shards int
-	// CollectProbeCosts records every probe's modeled cost units, grouped
-	// by tick phase, into Result.ProbeCosts — the raw material for the
-	// offline throughput model in internal/bench. Off by default (it
-	// allocates per tick).
-	CollectProbeCosts bool
 	// DispatchBatch is the dispatch hand-off grain: the source and
 	// the workers move probe jobs between deques in chunks of this many
 	// (default 64), so the dispatch pays one lock acquisition per batch
@@ -112,8 +107,8 @@ type Config struct {
 	OnResult func(*tuple.Composite)
 	// OnTickEnd, when set, is called from the source goroutine after each
 	// tick's both phases have quiesced (and any durable tick record is
-	// synced) — a per-tick latency probe point for the retune-under-load
-	// benchmark.
+	// synced) — the per-tick latency probe point benchmark/ reads its tick
+	// percentiles from.
 	OnTickEnd func(tick int64)
 }
 
@@ -165,13 +160,6 @@ type Result struct {
 	InjectedDelays uint64
 	PressureEvents uint64
 
-	// ProbeCosts is the per-tick probe cost trace (one inner slice per
-	// tick, one entry per probe executed in that tick's probe phase),
-	// populated only when Config.CollectProbeCosts is set. Entries within
-	// a tick are in completion order, which varies with scheduling;
-	// consumers must treat each tick as an unordered multiset.
-	ProbeCosts [][]ProbeCost
-
 	// Crashed reports that the run stopped at a scheduled crash point
 	// (Fault.CrashTicks) instead of completing; CrashTick is the last tick
 	// fully processed and made durable before the kill. Call Recover with
@@ -186,15 +174,6 @@ type Result struct {
 	// counts only this segment's rebuild, unlike the cumulative counters
 	// above, which continue the crashed run's totals.
 	Recovered uint64
-}
-
-// ProbeCost is one probe's modeled work in simulation cost units, tagged
-// with the operator that executed it. Units follow sim.DefaultCosts: the
-// same per-hash / per-bucket / per-candidate weights the deterministic
-// engine charges its clock.
-type ProbeCost struct {
-	Op    int
-	Units float64
 }
 
 // message is one unit of operator work.
@@ -305,7 +284,7 @@ type padBool struct {
 // probeScratch is one probe worker's reusable buffers: probe values and
 // match collection live per worker, not per operator, so concurrent
 // probes of the same state never share scratch. w is the worker's index
-// into the cost collector's slot array. Below vals/matches come the
+// into the dispatcher's deques. Below vals/matches come the
 // inline-filter Matcher and index enumeration scratch, the worker's routing
 // rng, the popped-batch and follow-up job buffers, the composite freelist
 // (dead driving composites recycled into the next extension instead of
@@ -517,13 +496,13 @@ func (o *operator) shedAssessment(cost time.Duration) {
 }
 
 // probeMatch runs one search request against the state through the
-// inline-filter SearchMatch path, returning the matches and the index work
-// performed: the candidate filter runs inside the bucket scan (no
-// per-candidate closure call) and the assessor is NOT touched (the worker
-// defers the observation to the tick barrier, where flushWorkers batches it
-// through ObserveSearches). The returned slice aliases the worker's scratch
-// and is valid only until that worker's next probe (safe: the worker
-// consumes the matches before popping another job). A sharded index is
+// inline-filter SearchMatch path and returns the matches: the candidate
+// filter runs inside the bucket scan (no per-candidate closure call) and
+// the assessor is NOT touched (the worker defers the observation to the
+// tick barrier, where flushWorkers batches it through ObserveSearches).
+// The returned slice aliases the worker's scratch and is valid only until
+// that worker's next probe (safe: the worker consumes the matches before
+// popping another job). A sharded index is
 // probed lock-free: one atomic load pins the index incarnation for the whole
 // search — old-or-new atomicity against a concurrent restore — and the
 // sharded backend synchronizes internally all the way down its striped
@@ -532,7 +511,7 @@ func (o *operator) shedAssessment(cost time.Duration) {
 // demands exclusivity.
 //
 //amrivet:hotpath batched-dispatch probe: inline-filter search with worker-owned scratch
-func (o *operator) probeMatch(c *tuple.Composite, sc *probeScratch) ([]*tuple.Tuple, bitindex.Stats) {
+func (o *operator) probeMatch(c *tuple.Composite, sc *probeScratch) []*tuple.Tuple {
 	pt := o.spec.PatternForDone(c.Done)
 	vals := sc.vals[:o.spec.NumAttrs()]
 	m := &sc.matcher
@@ -552,18 +531,17 @@ func (o *operator) probeMatch(c *tuple.Composite, sc *probeScratch) ([]*tuple.Tu
 	m.Driver = drv.Arrival
 	m.MinTS = drv.TS - o.window
 	sc.matches = sc.matches[:0]
-	var st bitindex.Stats
 	if o.sharded {
 		ix := o.cur.Load()
-		st, sc.matches = ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
+		_, sc.matches = ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
 	} else {
 		o.mu.Lock()
 		//amrivet:lockhold flat index scratch demands exclusivity for the whole search
-		st, sc.matches = o.ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
+		_, sc.matches = o.ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
 		o.mu.Unlock()
 	}
 	sc.nprobes[o.id]++ // flushed to o.probes at the tick barrier
-	return sc.matches, st
+	return sc.matches
 }
 
 // run bundles one Run invocation's shared machinery: the operator set, the
@@ -584,9 +562,6 @@ type run struct {
 	// wg tracks in-flight messages: every delivered message is Added once
 	// and Done exactly once — when handled, shed, or lost to a panic.
 	wg sync.WaitGroup
-
-	costs   sim.CostTable
-	collect *costCollector // nil unless Config.CollectProbeCosts
 
 	// Dispatch state: the work-stealing dispatcher and its hand-off grain,
 	// the per-worker scratches flushWorkers merges, the materialized (op,
@@ -680,48 +655,6 @@ type insBatch struct {
 	tuples []*tuple.Tuple
 	ix     *core.AdaptiveIndex
 	done   *sync.WaitGroup
-}
-
-// costCollector accumulates the per-tick probe cost trace in per-worker
-// slots: each worker appends lock-free to its own slot, and the tick loop
-// merges them after the phase barrier (p.wg.Wait orders every append
-// before the flush, so the merge needs no lock either). Entries within a
-// tick were always an unordered multiset — see Result.ProbeCosts — so the
-// slot-order merge changes nothing observable.
-type costCollector struct {
-	slots []costSlot
-	ticks [][]ProbeCost
-}
-
-// costSlot is one worker's private buffer, padded so neighbouring workers'
-// append bookkeeping does not share a cache line.
-type costSlot struct {
-	buf []ProbeCost
-	_   [40]byte
-}
-
-func newCostCollector(workers int) *costCollector {
-	return &costCollector{slots: make([]costSlot, workers)}
-}
-
-// add records one probe's cost in worker w's slot. Only worker w calls it.
-func (c *costCollector) add(w int, pc ProbeCost) {
-	c.slots[w].buf = append(c.slots[w].buf, pc)
-}
-
-// flush merges the slots into one tick entry; callers must have quiesced
-// the workers first.
-func (c *costCollector) flush() {
-	var tick []ProbeCost
-	for i := range c.slots {
-		tick = append(tick, c.slots[i].buf...)
-		c.slots[i].buf = c.slots[i].buf[:0]
-	}
-	c.ticks = append(c.ticks, tick)
-}
-
-func (c *costCollector) trace() [][]ProbeCost {
-	return c.ticks
 }
 
 // accountShed records one dropped message against its target operator.
@@ -825,14 +758,7 @@ func (p *run) handleCompDeque(o *operator, comp *tuple.Composite, sc *probeScrat
 		o.shedAssessment(p.inj.AssessCost())
 		p.pressure.Add(1)
 	}
-	matches, st := o.probeMatch(comp, sc)
-	if p.collect != nil {
-		p.collect.add(sc.w, ProbeCost{Op: o.id, Units: float64(
-			sim.Units(st.Hashes)*p.costs.Hash +
-				sim.Units(st.Buckets)*p.costs.Bucket +
-				sim.Units(st.DirScans)*p.costs.DirScan +
-				sim.Units(st.Tuples)*p.costs.Compare)})
-	}
+	matches := o.probeMatch(comp, sc)
 	if sc.obs != nil {
 		sc.obs[o.id*p.patSpace+int(o.spec.PatternForDone(comp.Done))]++
 	} else if o.cur.Load().ObserveSearches(o.spec.PatternForDone(comp.Done), 1) {
@@ -1241,10 +1167,6 @@ func newRun(cfg Config) (*run, error) {
 		inj:   fault.New(cfg.Fault, n),
 		store: cfg.Durable,
 		sheds: make([]padUint64, n),
-		costs: sim.DefaultCosts(),
-	}
-	if cfg.CollectProbeCosts {
-		p.collect = newCostCollector(cfg.ProbeWorkers)
 	}
 	for s := 0; s < n; s++ {
 		spec := q.States[s]
@@ -1517,9 +1439,6 @@ func (p *run) execute(startTick int64) (*Result, error) {
 		p.dispatchProbes(batch)
 		p.wg.Wait()
 		p.flushWorkers()
-		if p.collect != nil {
-			p.collect.flush()
-		}
 		lastTick = tick
 		if p.store != nil {
 			// Tick record + Sync at the boundary: both barriers have
@@ -1568,9 +1487,6 @@ func (p *run) execute(startTick int64) (*Result, error) {
 	}
 	if crashed {
 		res.CrashTick = lastTick
-	}
-	if p.collect != nil {
-		res.ProbeCosts = p.collect.trace()
 	}
 	for i, o := range p.ops {
 		res.ShedsPerOp[i] = p.sheds[i].Load()
