@@ -24,3 +24,48 @@ func DefaultHasher(attr int, v tuple.Value) uint64 {
 // example assumes this (values 00111, 11, 010 appear verbatim in the bucket
 // id); it is also useful for tests that need full control of placement.
 func IdentityHasher(_ int, v tuple.Value) uint64 { return v }
+
+// Entry tags. A bucket holds every tuple whose hashed attribute bits match,
+// so most candidates of a probe fail the join-equality test — and finding
+// that out from the tuple costs a dependent cache miss per candidate. The
+// tag keeps enough of each attribute's hash beside the pointer to reject
+// nearly all of them from the bucket's own memory: it concatenates, for
+// every IC field i, the TOP tagWidth bits of hasher(i, attr_i). The top
+// bits are independent of the low bits the bucket id consumes (so they
+// still discriminate inside a bucket), and they depend on the attribute
+// values alone, never on the configuration, so an entry keeps its tag
+// through every migration.
+
+// tagWidth is the number of hash bits each of n IC fields contributes to
+// the 64-bit tag, capped at 32: one false survivor per four billion
+// candidates is rare enough, and wider fields would only start re-reading
+// the low bits the bucket id already tests.
+func tagWidth(n int) uint {
+	if n == 0 {
+		return 0
+	}
+	return uint(min(64/n, 32))
+}
+
+// tagField places the top w bits of hash h in IC field i's slot of a tag.
+func tagField(i int, h uint64, w uint) uint64 {
+	return h >> (64 - w) << (uint(i) * w)
+}
+
+// placeTuple computes, in one pass over the IC fields, the bucket id of t
+// under (cfg, lay) and the entry to store there. hashes counts the fields
+// the configuration indexes — exactly what BucketID charges; hashing a
+// zero-bit field for its tag bits is uncharged bookkeeping, like ShardOf.
+func placeTuple(h Hasher, attrMap []int, cfg Config, lay layout, t *tuple.Tuple) (id uint64, e entry, hashes int) {
+	w := tagWidth(len(attrMap))
+	e.t = t
+	for i, a := range attrMap {
+		hv := h(i, t.Attrs[a])
+		e.tag |= tagField(i, hv, w)
+		if bits := cfg.Bits[i]; bits != 0 {
+			id |= lay.fieldOf(i, hv, bits)
+			hashes++
+		}
+	}
+	return id, e, hashes
+}

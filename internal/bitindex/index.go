@@ -137,8 +137,8 @@ func (ix *Index) BucketID(t *tuple.Tuple) (uint64, int) {
 
 // Insert stores the tuple, returning maintenance stats (hash computations).
 func (ix *Index) Insert(t *tuple.Tuple) Stats {
-	id, hashes := ix.BucketID(t)
-	ix.dir.put(id, t)
+	id, e, hashes := placeTuple(ix.hasher, ix.attrMap, ix.cfg, ix.lay, t)
+	ix.dir.put(id, e)
 	ix.count++
 	ix.tupleBytes += t.MemBytes()
 	return Stats{Hashes: hashes}
@@ -219,7 +219,7 @@ func (ix *Index) Search(p query.Pattern, vals []tuple.Value, visit func(*tuple.T
 
 	mask := ix.lay.patternMask(p)
 	want := base & mask
-	ix.dir.forEach(func(id uint64, b []*tuple.Tuple) bool {
+	ix.dir.forEach(func(id uint64, b []entry) bool {
 		st.DirScans++
 		if id&mask != want {
 			return true
@@ -230,10 +230,10 @@ func (ix *Index) Search(p query.Pattern, vals []tuple.Value, visit func(*tuple.T
 	return st
 }
 
-func scanBucket(b []*tuple.Tuple, st *Stats, visit func(*tuple.Tuple) bool) bool {
-	for _, t := range b {
+func scanBucket(b []entry, st *Stats, visit func(*tuple.Tuple) bool) bool {
+	for _, e := range b {
 		st.Tuples++
-		if !visit(t) {
+		if !visit(e.t) {
 			return false
 		}
 	}
@@ -326,7 +326,7 @@ func (ix *Index) searchDir(dir directory, cfg Config, lay layout, p query.Patter
 	mask := lay.patternMask(p)
 	want := base & mask
 	ok := true
-	dir.forEach(func(id uint64, b []*tuple.Tuple) bool {
+	dir.forEach(func(id uint64, b []entry) bool {
 		st.DirScans++
 		if id&mask != want {
 			return true
@@ -347,7 +347,7 @@ func (ix *Index) Scan(visit func(*tuple.Tuple) bool) Stats {
 	var st Stats
 	stopped := false
 	if ix.mig != nil {
-		ix.mig.oldDir.forEach(func(_ uint64, b []*tuple.Tuple) bool {
+		ix.mig.oldDir.forEach(func(_ uint64, b []entry) bool {
 			st.Buckets++
 			if !scanBucket(b, &st, visit) {
 				stopped = true
@@ -359,7 +359,7 @@ func (ix *Index) Scan(visit func(*tuple.Tuple) bool) Stats {
 	if stopped {
 		return st
 	}
-	ix.dir.forEach(func(_ uint64, b []*tuple.Tuple) bool {
+	ix.dir.forEach(func(_ uint64, b []entry) bool {
 		st.Buckets++
 		return scanBucket(b, &st, visit)
 	})
@@ -382,8 +382,8 @@ func (ix *Index) Migrate(newCfg Config) (Stats, error) {
 			break
 		}
 	}
-	var all []*tuple.Tuple
-	ix.dir.forEach(func(_ uint64, b []*tuple.Tuple) bool {
+	var all []entry
+	ix.dir.forEach(func(_ uint64, b []entry) bool {
 		all = append(all, b...)
 		return true
 	})
@@ -391,9 +391,9 @@ func (ix *Index) Migrate(newCfg Config) (Stats, error) {
 	ix.lay = newLayout(ix.cfg)
 	ix.dir = newDirectory(ix.cfg, ix.opts.denseLimit)
 	st := pre
-	for _, t := range all {
-		id, hashes := ix.BucketID(t)
-		ix.dir.put(id, t)
+	for _, e := range all {
+		id, hashes := ix.BucketID(e.t)
+		ix.dir.put(id, e)
 		st.Hashes += hashes
 		st.Tuples++
 	}
@@ -429,7 +429,7 @@ func (ix *Index) String() string {
 // the data, not the index; this measurement is how the experiments show it.
 func (ix *Index) BucketBalance() Balance {
 	b := Balance{Tuples: ix.count}
-	ix.dir.forEach(func(_ uint64, bucket []*tuple.Tuple) bool {
+	ix.dir.forEach(func(_ uint64, bucket []entry) bool {
 		b.Occupied++
 		if len(bucket) > b.MaxBucket {
 			b.MaxBucket = len(bucket)
@@ -437,7 +437,7 @@ func (ix *Index) BucketBalance() Balance {
 		return true
 	})
 	if ix.mig != nil {
-		ix.mig.oldDir.forEach(func(_ uint64, bucket []*tuple.Tuple) bool {
+		ix.mig.oldDir.forEach(func(_ uint64, bucket []entry) bool {
 			b.Occupied++
 			if len(bucket) > b.MaxBucket {
 				b.MaxBucket = len(bucket)

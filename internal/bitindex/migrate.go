@@ -51,7 +51,7 @@ func (ix *Index) StartMigration(newCfg Config) error {
 		return fmt.Errorf("bitindex: migration to identical configuration")
 	}
 	m := &migration{oldCfg: ix.cfg, oldLay: ix.lay, oldDir: ix.dir}
-	m.oldDir.forEach(func(id uint64, _ []*tuple.Tuple) bool {
+	m.oldDir.forEach(func(id uint64, _ []entry) bool {
 		m.pending = append(m.pending, id)
 		return true
 	})
@@ -78,10 +78,10 @@ func (ix *Index) MigrateStep(n int) (st Stats, done bool) {
 			continue
 		}
 		// Move from the bucket's tail so removal is O(1).
-		t := bucket[len(bucket)-1]
-		m.oldDir.remove(id, t)
-		newID, hashes := ix.BucketID(t)
-		ix.dir.put(newID, t)
+		e := bucket[len(bucket)-1]
+		m.oldDir.remove(id, e.t)
+		newID, hashes := ix.BucketID(e.t)
+		ix.dir.put(newID, e)
 		st.Hashes += hashes
 		st.Tuples++
 		n--
@@ -105,8 +105,8 @@ func (ix *Index) AbortMigration() (Stats, bool) {
 	if m == nil {
 		return Stats{}, false
 	}
-	var moved []*tuple.Tuple
-	ix.dir.forEach(func(_ uint64, b []*tuple.Tuple) bool {
+	var moved []entry
+	ix.dir.forEach(func(_ uint64, b []entry) bool {
 		moved = append(moved, b...)
 		return true
 	})
@@ -115,9 +115,9 @@ func (ix *Index) AbortMigration() (Stats, bool) {
 	ix.dir = m.oldDir
 	ix.mig = nil
 	var st Stats
-	for _, t := range moved {
-		id, hashes := ix.BucketID(t)
-		ix.dir.put(id, t)
+	for _, e := range moved {
+		id, hashes := ix.BucketID(e.t)
+		ix.dir.put(id, e)
 		st.Hashes += hashes
 		st.Tuples++
 	}

@@ -19,6 +19,14 @@ import (
 // Matcher is the inline candidate filter of one probe. Zero Driver disables
 // the driver-stamp and window tests (a probe with no driver context); the
 // equality conditions always apply.
+//
+// The Matcher alone decides which candidates of the addressed buckets a
+// probe returns. The scan pre-filters on the bucket entries' tags, but the
+// pre-filter is derived from these equality conditions and nothing else —
+// not from the access pattern or its values — and every tag survivor still
+// goes through the full check, so it rejects only what the Matcher would:
+// with NEq == 0, or with equalities only on attributes the index does not
+// read, every bucket candidate reaches the Matcher.
 type Matcher struct {
 	// Driver is the driving tuple's arrival stamp: candidates with
 	// Arrival >= Driver are rejected (exactly-once — only the newest
@@ -93,59 +101,56 @@ const (
 	maxSpreadTabs = 64
 )
 
-// scanBucketMatch is scanBucket with the Matcher applied inline: same
-// Stats.Tuples accounting (every candidate is charged, bulk-added up
-// front), no per-candidate indirect call. The single-equality case — the
-// overwhelmingly common probe shape, one join predicate per hop — gets its
-// own loop with the condition hoisted into locals; the general loop serves
-// the rest.
-func scanBucketMatch(b []*tuple.Tuple, st *Stats, m *Matcher, out []*tuple.Tuple) []*tuple.Tuple {
-	st.Tuples += len(b)
-	drv, minTS := m.Driver, m.MinTS
-	if drv != 0 {
-		switch m.NEq {
-		case 1:
-			a0, v0 := m.EqAttr[0], m.EqVal[0]
-			for _, x := range b {
-				if x.Arrival >= drv || x.TS <= minTS || x.Attrs[a0] != v0 {
-					continue
-				}
-				out = append(out, x) //amrivet:ignore[hotalloc] appends into the caller's receiver-attached scratch, returned for reslice-reuse
+// probeFilter is one probe's candidate filter: the caller's Matcher plus
+// the tag pre-filter derived from it — an entry can satisfy the Matcher's
+// equality conditions only if (tag^want)&mask == 0.
+type probeFilter struct {
+	m          *Matcher
+	want, mask uint64
+}
+
+// newProbeFilter derives the tag pre-filter, once per probe, from the
+// Matcher's equality conditions mapped to IC fields through attrMap; an
+// equality on a tuple attribute no field reads contributes no mask bits.
+// The pair must come from the Matcher, not from the access pattern: the
+// pattern only selects buckets, and a Matcher with fewer equalities than
+// the pattern has constrained attributes accepts candidates the pattern's
+// values would reject. The hashes are uncharged bookkeeping, like ShardOf.
+func newProbeFilter(h Hasher, attrMap []int, m *Matcher) probeFilter {
+	f := probeFilter{m: m}
+	w := tagWidth(len(attrMap))
+	for k := 0; k < m.NEq; k++ {
+		for i, a := range attrMap {
+			if a == m.EqAttr[k] {
+				f.want |= tagField(i, h(i, m.EqVal[k]), w)
+				f.mask |= tagField(i, ^uint64(0), w)
 			}
-			return out
-		case 2:
-			a0, v0 := m.EqAttr[0], m.EqVal[0]
-			a1, v1 := m.EqAttr[1], m.EqVal[1]
-			for _, x := range b {
-				if x.Arrival >= drv || x.TS <= minTS || x.Attrs[a0] != v0 || x.Attrs[a1] != v1 {
-					continue
-				}
-				out = append(out, x) //amrivet:ignore[hotalloc] appends into the caller's receiver-attached scratch, returned for reslice-reuse
-			}
-			return out
 		}
 	}
-	neq := m.NEq
-	for _, x := range b {
-		if drv != 0 && (x.Arrival >= drv || x.TS <= minTS) {
+	return f
+}
+
+// scanBucketMatch is scanBucket with the filter applied inline: same
+// Stats.Tuples accounting (every candidate is charged, bulk-added up
+// front), no per-candidate indirect call. The tag test runs on the bucket's
+// own memory; only its survivors — a superset of the Matcher's — are
+// dereferenced and put through the full Matcher.
+func scanBucketMatch(b []entry, st *Stats, f *probeFilter, out []*tuple.Tuple) []*tuple.Tuple {
+	st.Tuples += len(b)
+	want, mask, m := f.want, f.mask, f.m
+	for i := range b {
+		e := &b[i]
+		if (e.tag^want)&mask != 0 || !matchTuple(m, e.t) {
 			continue
 		}
-		ok := true
-		for k := 0; k < neq; k++ {
-			if x.Attrs[m.EqAttr[k]] != m.EqVal[k] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, x) //amrivet:ignore[hotalloc] appends into the caller's receiver-attached scratch, returned for reslice-reuse
-		}
+		out = append(out, e.t) //amrivet:ignore[hotalloc] appends into the caller's receiver-attached scratch, returned for reslice-reuse
 	}
 	return out
 }
 
-// matchTuple applies the Matcher to one candidate (the slow-path twin of
-// scanBucketMatch's inline filter, for the visit-based migration fallback).
+// matchTuple applies the Matcher to one candidate: scanBucketMatch's full
+// check on tag survivors, and the whole filter of the visit-based flat
+// migration fallback.
 func matchTuple(m *Matcher, x *tuple.Tuple) bool {
 	if m.Driver != 0 && (x.Arrival >= m.Driver || x.TS <= m.MinTS) {
 		return false
@@ -187,6 +192,7 @@ func (ix *Index) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matcher, _ 
 		}
 	}
 
+	f := newProbeFilter(ix.hasher, ix.attrMap, m)
 	dd, dense := ix.dir.(*denseDir)
 	enumerate := true
 	if !dense {
@@ -204,19 +210,19 @@ func (ix *Index) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matcher, _ 
 				if !dd.has(id) {
 					continue
 				}
-				out = scanBucketMatch(dd.buckets[id], &st, m, out)
+				out = scanBucketMatch(dd.buckets[id], &st, &f, out)
 			}
 			return st, out
 		}
 		for c := uint64(0); c < span; c++ {
 			id := base | ix.spread(c)
 			st.Buckets++
-			out = scanBucketMatch(ix.dir.bucket(id), &st, m, out)
+			out = scanBucketMatch(ix.dir.bucket(id), &st, &f, out)
 		}
 		return st, out
 	}
 
-	mst, out := searchMatchMasked(ix.dir, ix.lay.patternMask(p), base, m, out)
+	mst, out := searchMatchMasked(ix.dir, ix.lay.patternMask(p), base, f, out)
 	st.DirScans += mst.DirScans
 	st.Buckets += mst.Buckets
 	st.Tuples += mst.Tuples
@@ -241,17 +247,18 @@ func (ix *Index) searchMatchMigrating(p query.Pattern, vals []tuple.Value, m *Ma
 // sharded non-enumerating fallbacks (wildcard span wider than the occupied
 // slot count). Separated for the same escape reason as searchMatchMigrating:
 // the forEach closure boxes what it captures, so it must capture locals of a
-// cold function, not the hot probe loop's accumulators.
-func searchMatchMasked(d directory, mask, base uint64, m *Matcher, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
+// cold function, not the hot probe loop's accumulators — which is also why
+// the filter arrives by value.
+func searchMatchMasked(d directory, mask, base uint64, f probeFilter, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
 	var st Stats
 	want := base & mask
-	d.forEach(func(id uint64, b []*tuple.Tuple) bool {
+	d.forEach(func(id uint64, b []entry) bool {
 		st.DirScans++
 		if id&mask != want {
 			return true
 		}
 		st.Buckets++
-		out = scanBucketMatch(b, &st, m, out)
+		out = scanBucketMatch(b, &st, &f, out)
 		return true
 	})
 	return st, out
@@ -264,7 +271,7 @@ func searchMatchMasked(d directory, mask, base uint64, m *Matcher, out []*tuple.
 // and scans. A nil ids enumerates per shard (migration's old epoch, or a
 // span too wide to materialize). Stats accounting matches probeShardDir
 // entry for entry.
-func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *Stats, m *Matcher, out []*tuple.Tuple) []*tuple.Tuple {
+func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *Stats, f *probeFilter, out []*tuple.Tuple) []*tuple.Tuple {
 	enumerate := true
 	if _, sparse := d.(*sparseDir); sparse {
 		if pl.wildBits >= 63 || (1<<uint(pl.wildBits)) > uint64(d.occupied()) {
@@ -279,7 +286,7 @@ func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *S
 					if !dd.has(id) {
 						continue
 					}
-					out = scanBucketMatch(dd.buckets[id], st, m, out)
+					out = scanBucketMatch(dd.buckets[id], st, f, out)
 				}
 				return out
 			}
@@ -291,14 +298,14 @@ func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *S
 				if !dd.has(id) {
 					continue
 				}
-				out = scanBucketMatch(dd.buckets[id], st, m, out)
+				out = scanBucketMatch(dd.buckets[id], st, f, out)
 			}
 			return out
 		}
 		if ids != nil {
 			for _, id := range ids {
 				st.Buckets++
-				out = scanBucketMatch(d.bucket(id), st, m, out)
+				out = scanBucketMatch(d.bucket(id), st, f, out)
 			}
 			return out
 		}
@@ -307,12 +314,12 @@ func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *S
 		for c := uint64(0); c < span; c++ {
 			id := localBase | pl.spread(c)
 			st.Buckets++
-			out = scanBucketMatch(d.bucket(id), st, m, out)
+			out = scanBucketMatch(d.bucket(id), st, f, out)
 		}
 		return out
 	}
 	lmask := pl.mask & e.localMask()
-	mst, out := searchMatchMasked(d, lmask, pl.base&e.localMask(), m, out)
+	mst, out := searchMatchMasked(d, lmask, pl.base&e.localMask(), *f, out)
 	st.DirScans += mst.DirScans
 	st.Buckets += mst.Buckets
 	st.Tuples += mst.Tuples
@@ -331,6 +338,7 @@ func (ix *ShardedIndex) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matc
 	var st Stats
 	var hm hashMemo
 	var pl shardPlan
+	f := newProbeFilter(ix.hasher, ix.attrMap, m)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if mg := ix.mig; mg != nil {
@@ -347,7 +355,7 @@ func (ix *ShardedIndex) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matc
 			//amrivet:lockhold old-shard read lock nests inside the epoch read lock by design (lock DAG, DESIGN.md §10)
 			os.mu.RLock()
 			//amrivet:lockhold old-shard read lock nests inside the epoch read lock by design: probes scan a draining migration's slices one stripe at a time (lock DAG, DESIGN.md §10)
-			out = probeShardDirMatch(os.dir, mg.old, &pl, nil, &st, m, out)
+			out = probeShardDirMatch(os.dir, mg.old, &pl, nil, &st, &f, out)
 			os.mu.RUnlock()
 		}
 	}
@@ -380,7 +388,7 @@ func (ix *ShardedIndex) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matc
 		//amrivet:lockhold stripe read lock nests inside the epoch read lock by design (lock DAG, DESIGN.md §10)
 		sh.mu.RLock()
 		//amrivet:lockhold stripe read lock nests inside the epoch read lock by design: concurrent probes of disjoint stripes proceed in parallel (lock DAG, DESIGN.md §10)
-		out = probeShardDirMatch(sh.dir, ix.live, &pl, ids, &st, m, out)
+		out = probeShardDirMatch(sh.dir, ix.live, &pl, ids, &st, &f, out)
 		sh.mu.RUnlock()
 	}
 	return st, out

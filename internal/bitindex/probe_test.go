@@ -45,6 +45,12 @@ func visitSeqs(ix interface {
 // SearchMatch returns exactly the tuples the visit-based Search + filter
 // accepts, with identical Stats, across patterns, matcher settings, a
 // mid-stream incremental migration, and both dense and sparse directories.
+//
+// The matcher list pins the tag pre-filter's contract (see Matcher): the
+// Matcher must see every bucket candidate its own conditions do not
+// exclude. A pre-filter derived from the access pattern instead fails
+// matcher 0 on every constrained pattern; matchers 4 and 5 carry an
+// equality no tag can express.
 func TestSearchMatchEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -70,8 +76,10 @@ func TestSearchMatchEquivalence(t *testing.T) {
 			arrival := uint64(1)
 			insert := func(n int) {
 				for i := 0; i < n; i++ {
+					// Attribute 3 is absent from attrMap: stored, never indexed.
 					tp := tuple.New(0, rng.Uint64(), int64(rng.Uint64N(64)), []tuple.Value{
 						tuple.Value(rng.Uint64N(16)), tuple.Value(rng.Uint64N(16)), tuple.Value(rng.Uint64N(16)),
+						tuple.Value(rng.Uint64N(4)),
 					})
 					tp.Arrival = arrival
 					arrival++
@@ -87,12 +95,22 @@ func TestSearchMatchEquivalence(t *testing.T) {
 					tuple.Value(rng.Uint64N(16)), tuple.Value(rng.Uint64N(16)), tuple.Value(rng.Uint64N(16)),
 				}
 				matchers := []*Matcher{
-					{}, // no filter
+					// 0: NEq == 0 and Driver == 0, no filter at all
+					{},
+					// 1: NEq == 0, driver only
 					{Driver: arrival / 2, MinTS: 20},
+					// 2: Driver == 0, one indexed equality
 					{NEq: 1, EqAttr: [query.MaxAttrs]int{1}, EqVal: [query.MaxAttrs]tuple.Value{vals[1]}},
+					// 3: driver and two indexed equalities
 					{Driver: arrival, MinTS: 5, NEq: 2,
 						EqAttr: [query.MaxAttrs]int{0, 2},
 						EqVal:  [query.MaxAttrs]tuple.Value{vals[0], vals[2]}},
+					// 4: the only equality is on the non-indexed attribute
+					{NEq: 1, EqAttr: [query.MaxAttrs]int{3}, EqVal: [query.MaxAttrs]tuple.Value{vals[1] % 4}},
+					// 5: a non-indexed equality beside an indexed one
+					{Driver: arrival, NEq: 2,
+						EqAttr: [query.MaxAttrs]int{3, 1},
+						EqVal:  [query.MaxAttrs]tuple.Value{vals[2] % 4, vals[1]}},
 				}
 				for _, p := range patterns {
 					for mi, m := range matchers {
@@ -182,9 +200,9 @@ func TestDenseDirOccupancyBitmap(t *testing.T) {
 	for i := range tps {
 		tps[i] = tuple.New(0, uint64(i), 0, []tuple.Value{1})
 	}
-	d.put(5, tps[0])
-	d.put(5, tps[1])
-	d.put(200, tps[2])
+	d.put(5, entry{t: tps[0]})
+	d.put(5, entry{t: tps[1]})
+	d.put(200, entry{t: tps[2]})
 	for id := uint64(0); id < 256; id++ {
 		want := len(d.buckets[id]) > 0
 		if d.has(id) != want {

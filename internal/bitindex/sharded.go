@@ -240,11 +240,12 @@ func (ix *ShardedIndex) Insert(t *tuple.Tuple) Stats {
 	var st Stats
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	id := shardBucketID(ix.hasher, ix.attrMap, ix.live, t, &st)
+	id, e, hashes := placeTuple(ix.hasher, ix.attrMap, ix.live.cfg, ix.live.lay, t)
+	st.Hashes = hashes
 	sh := &ix.shards[ix.live.shardOf(id)]
 	//amrivet:lockhold stripe lock nests inside the epoch read lock by design: ix.mu only pins the directory geometry, the stripe serializes one bucket span (lock DAG, DESIGN.md §10)
 	sh.mu.Lock()
-	sh.dir.put(ix.live.localOf(id), t)
+	sh.dir.put(ix.live.localOf(id), e)
 	sh.mu.Unlock()
 	ix.count.Add(1)
 	ix.tupleBytes.Add(int64(t.MemBytes()))
@@ -364,7 +365,7 @@ func probeShardDir(d directory, e epoch, pl *shardPlan, st *Stats, visit func(*t
 	lmask := pl.mask & e.localMask()
 	want := localBase & lmask
 	ok := true
-	d.forEach(func(id uint64, b []*tuple.Tuple) bool {
+	d.forEach(func(id uint64, b []entry) bool {
 		st.DirScans++
 		if id&lmask != want {
 			return true
@@ -461,7 +462,7 @@ func (ix *ShardedIndex) StartMigration(newCfg Config) error {
 		sh.mu.Unlock()
 		var pending []uint64
 		cnt := 0
-		d.forEach(func(id uint64, b []*tuple.Tuple) bool {
+		d.forEach(func(id uint64, b []entry) bool {
 			pending = append(pending, id)
 			cnt += len(b)
 			return true
@@ -514,12 +515,12 @@ func (ix *ShardedIndex) MigrateStep(n int) (st Stats, done bool) {
 				continue
 			}
 			// Move from the bucket's tail so removal is O(1).
-			t := bucket[len(bucket)-1]
-			os.dir.remove(id, t)
-			newID := shardBucketID(ix.hasher, ix.attrMap, ix.live, t, &st)
+			e := bucket[len(bucket)-1]
+			os.dir.remove(id, e.t)
+			newID := shardBucketID(ix.hasher, ix.attrMap, ix.live, e.t, &st)
 			dst := &ix.shards[ix.live.shardOf(newID)]
 			dst.mu.Lock()
-			dst.dir.put(ix.live.localOf(newID), t)
+			dst.dir.put(ix.live.localOf(newID), e)
 			dst.mu.Unlock()
 			st.Tuples++
 			m.left.Add(-1)
@@ -560,11 +561,11 @@ func (ix *ShardedIndex) AbortMigration() (Stats, bool) {
 	if m == nil {
 		return st, false
 	}
-	var moved []*tuple.Tuple
+	var moved []entry
 	for k := 0; k < ix.live.n; k++ {
 		sh := &ix.shards[k]
 		sh.mu.Lock()
-		sh.dir.forEach(func(_ uint64, b []*tuple.Tuple) bool {
+		sh.dir.forEach(func(_ uint64, b []entry) bool {
 			moved = append(moved, b...)
 			return true
 		})
@@ -584,11 +585,11 @@ func (ix *ShardedIndex) AbortMigration() (Stats, bool) {
 		sh.mu.Unlock()
 	}
 	ix.mig = nil
-	for _, t := range moved {
-		id := shardBucketID(ix.hasher, ix.attrMap, ix.live, t, &st)
+	for _, e := range moved {
+		id := shardBucketID(ix.hasher, ix.attrMap, ix.live, e.t, &st)
 		sh := &ix.shards[ix.live.shardOf(id)]
 		sh.mu.Lock()
-		sh.dir.put(ix.live.localOf(id), t)
+		sh.dir.put(ix.live.localOf(id), e)
 		sh.mu.Unlock()
 		st.Tuples++
 	}
@@ -612,11 +613,11 @@ func (ix *ShardedIndex) Migrate(newCfg Config) (Stats, error) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	var all []*tuple.Tuple
+	var all []entry
 	for k := 0; k < ix.live.n; k++ {
 		sh := &ix.shards[k]
 		sh.mu.Lock()
-		sh.dir.forEach(func(_ uint64, b []*tuple.Tuple) bool {
+		sh.dir.forEach(func(_ uint64, b []entry) bool {
 			all = append(all, b...)
 			return true
 		})
@@ -631,11 +632,11 @@ func (ix *ShardedIndex) Migrate(newCfg Config) (Stats, error) {
 		sh.dir = newDirectoryBits(int(ix.live.localBits), ix.opts.denseLimit)
 		sh.mu.Unlock()
 	}
-	for _, t := range all {
-		id := shardBucketID(ix.hasher, ix.attrMap, ix.live, t, &st)
+	for _, e := range all {
+		id := shardBucketID(ix.hasher, ix.attrMap, ix.live, e.t, &st)
 		sh := &ix.shards[ix.live.shardOf(id)]
 		sh.mu.Lock()
-		sh.dir.put(ix.live.localOf(id), t)
+		sh.dir.put(ix.live.localOf(id), e)
 		sh.mu.Unlock()
 		st.Tuples++
 	}

@@ -44,33 +44,59 @@ type Tuple struct {
 	PayloadBytes int
 }
 
-// New returns a tuple with the given identity and attribute values. The
-// tuple owns attrs from here on — callers that reuse buffers must copy
-// first. Small arities are copied into storage co-allocated with the tuple
-// header: bucket scans deref the header and then Attrs back to back, and
-// when both live in one allocation the attribute load hits the line right
-// after the header (adjacent-line prefetch) instead of a second dependent
-// miss — the probe scan loop is memory-latency-bound, so this is where the
-// measured probe throughput largely comes from.
+// New returns a tuple with the given identity and attribute values. Up to
+// inlineAttrs values are copied into storage co-allocated with the tuple
+// header, in a block sized to the arity class (2, 4 or 8 values: Go's 80-,
+// 96- and 128-byte size classes) so a narrow tuple does not pay for eight
+// slots; wider tuples keep the caller's slice, which the tuple then owns.
+// Co-location serves the probe's tag survivors: the bucket scan rejects
+// most candidates from the bucket entry's tag without touching the tuple,
+// and for the few it does dereference, the header and Attrs are read back
+// to back — in one allocation the attribute load hits the header's line or
+// the one after it (adjacent-line prefetch) instead of a second dependent
+// miss.
 func New(stream int, seq uint64, ts int64, attrs []Value) *Tuple {
-	if n := len(attrs); n > 0 && n <= inlineAttrs {
-		blk := &tupleBlock{t: Tuple{Stream: stream, Seq: seq, TS: ts}}
-		copy(blk.vals[:], attrs)
-		blk.t.Attrs = blk.vals[:n:n]
-		return &blk.t
+	n := len(attrs)
+	var t *Tuple
+	var vals []Value
+	switch {
+	case n == 0 || n > inlineAttrs:
+		return &Tuple{Stream: stream, Seq: seq, TS: ts, Attrs: attrs[:n:n]}
+	case n <= 2:
+		blk := new(tupleBlock2)
+		t, vals = &blk.t, blk.vals[:]
+	case n <= 4:
+		blk := new(tupleBlock4)
+		t, vals = &blk.t, blk.vals[:]
+	default:
+		blk := new(tupleBlock8)
+		t, vals = &blk.t, blk.vals[:]
 	}
-	return &Tuple{Stream: stream, Seq: seq, TS: ts, Attrs: attrs}
+	copy(vals, attrs)
+	*t = Tuple{Stream: stream, Seq: seq, TS: ts, Attrs: vals[:n:n]}
+	return t
 }
 
-// inlineAttrs is the widest arity stored inline with the header; wider
-// tuples keep the caller's slice (and its extra indirection).
+// inlineAttrs is the widest arity stored inline with the header.
 const inlineAttrs = 8
 
-// tupleBlock is the co-allocated layout New builds for small arities.
-type tupleBlock struct {
-	t    Tuple
-	vals [inlineAttrs]Value
-}
+// The co-allocated layouts New builds, one per arity class. Each must fit
+// the allocator size class named in New's comment (pinned by a test): a
+// new Tuple field that pushes one over silently costs the next class up.
+type (
+	tupleBlock2 struct {
+		t    Tuple
+		vals [2]Value
+	}
+	tupleBlock4 struct {
+		t    Tuple
+		vals [4]Value
+	}
+	tupleBlock8 struct {
+		t    Tuple
+		vals [inlineAttrs]Value
+	}
+)
 
 // Attr returns the i-th join attribute value.
 func (t *Tuple) Attr(i int) Value { return t.Attrs[i] }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewAndAccessors(t *testing.T) {
@@ -17,6 +18,63 @@ func TestNewAndAccessors(t *testing.T) {
 	for i, want := range []Value{10, 20, 30} {
 		if got := tp.Attr(i); got != want {
 			t.Errorf("Attr(%d) = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestNewRightSizedBlocks pins New's storage contract at both sides of every
+// arity-class edge: Attrs is exactly the arity long with no spare capacity,
+// up to inlineAttrs values are copied into the tuple's own block in a single
+// allocation, and wider tuples adopt the caller's slice.
+func TestNewRightSizedBlocks(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
+		src := make([]Value, n, n+3)
+		for i := range src {
+			src[i] = Value(100 + i)
+		}
+		tp := New(1, 2, 3, src)
+		if tp.Stream != 1 || tp.Seq != 2 || tp.TS != 3 {
+			t.Fatalf("arity %d: identity fields wrong: %+v", n, tp)
+		}
+		if len(tp.Attrs) != n || cap(tp.Attrs) != n {
+			t.Fatalf("arity %d: len %d cap %d, want both %d", n, len(tp.Attrs), cap(tp.Attrs), n)
+		}
+		for i := range src {
+			src[i] = 0
+		}
+		for i, v := range tp.Attrs {
+			switch owned := v == Value(100+i); {
+			case n <= inlineAttrs && !owned:
+				t.Fatalf("arity %d: Attrs[%d] = %d after the caller reused its slice, want a private copy", n, i, v)
+			case n > inlineAttrs && owned:
+				t.Fatalf("arity %d: Attrs[%d] was copied, want the caller's slice kept", n, i)
+			}
+		}
+		if n > inlineAttrs {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sink = New(0, 0, 0, src) }); allocs != 1 {
+			t.Errorf("arity %d: New allocates %v times, want 1", n, allocs)
+		}
+	}
+}
+
+var sink *Tuple
+
+// TestBlockSizeClasses keeps each co-allocated block inside the allocator
+// size class New's comment promises, so a new Tuple field cannot silently
+// push every tuple of an arity class into the next one up.
+func TestBlockSizeClasses(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		size, class uintptr
+	}{
+		{"tupleBlock2", unsafe.Sizeof(tupleBlock2{}), 80},
+		{"tupleBlock4", unsafe.Sizeof(tupleBlock4{}), 96},
+		{"tupleBlock8", unsafe.Sizeof(tupleBlock8{}), 128},
+	} {
+		if c.size > c.class {
+			t.Errorf("%s is %d bytes, over its %d-byte size class", c.name, c.size, c.class)
 		}
 	}
 }
