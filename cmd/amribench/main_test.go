@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,6 +65,29 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: usage error still printed results: %s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestIndexWorkGolden pins, across commits, the two experiments whose every
+// number is a bitindex.Stats count or a MemBytes reading: exact per-pattern
+// buckets and tuples (costmodel) and per-width memory and probe work for
+// dense and sparse directories up to 64 bits (abl-dir). A change to the
+// index that moves what a probe is charged shows here, not only as a
+// shifted virtual clock somewhere downstream. The golden files are the
+// stdout of `amribench -exp <id> -quick`.
+func TestIndexWorkGolden(t *testing.T) {
+	for _, id := range []string{"costmodel", "abl-dir"} {
+		want, err := os.ReadFile(filepath.Join("testdata", id+"-quick.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-exp", id, "-quick"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit status %d\nstderr: %s", id, code, stderr.String())
+		}
+		if !bytes.Equal(stdout.Bytes(), want) {
+			t.Errorf("%s -quick output moved\n--- got ---\n%s--- want ---\n%s", id, stdout.String(), want)
 		}
 	}
 }

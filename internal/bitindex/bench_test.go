@@ -1,6 +1,7 @@
 package bitindex
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -82,24 +83,14 @@ func BenchmarkMigrate(b *testing.B) {
 
 // benchSearchMatch times the match-collecting probe the pipeline runs on
 // its hot path — SearchMatch with a one-equality Matcher on attribute 0
-// under IC[4,4,4], over 4096 stored tuples, flat and 8-shard — and reports
+// under IC[4,4,4], over 4096 stored tuples, at 1 and 8 stripes — and reports
 // the cost per bucket candidate. attr0 draws the stored tuples' first
 // attribute; the probe always asks for value 1.
 func benchSearchMatch(b *testing.B, attr0 func(*rand.Rand) tuple.Value) {
 	cfg, attrMap := NewConfig(4, 4, 4), []int{0, 1, 2}
-	for _, shards := range []int{0, 8} { // 0: the flat Index
-		name := "flat"
-		if shards > 0 {
-			name = "shards=8"
-		}
-		b.Run(name, func(b *testing.B) {
-			var ix modelIndex // model_test.go: the operation set Index and ShardedIndex share
-			var err error
-			if shards == 0 {
-				ix, err = New(cfg, attrMap, nil)
-			} else {
-				ix, err = NewSharded(cfg, attrMap, nil, shards)
-			}
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			ix, err := NewSharded(cfg, attrMap, nil, shards)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -26,14 +26,10 @@ type directory interface {
 	memBytes() int
 }
 
-func newDirectory(cfg Config, denseLimit int) directory {
-	return newDirectoryBits(cfg.TotalBits(), denseLimit)
-}
-
-// newDirectoryBits builds a directory for an id space of the given width.
-// Sharded indexes use it directly: each shard's directory spans only the
-// local (low) bits of the bucket id, so a configuration too wide for a
-// dense directory as a whole can still get dense shards.
+// newDirectoryBits builds a directory for an id space of the given width:
+// each shard's directory spans only the local (low) bits of the bucket id,
+// so a configuration too wide for a dense directory as a whole can still
+// get dense shards.
 func newDirectoryBits(totalBits, denseLimit int) directory {
 	if denseLimit >= MaxTotalBits {
 		// A dense directory as wide as the 64-bit bucket id cannot exist
@@ -121,7 +117,7 @@ func (d *denseDir) memBytes() int {
 // occupancy, masked iteration for wide wildcard searches. Iteration order
 // of forEach is unspecified; callers that need determinism (none of the
 // hot paths do — search visits are order-insensitive candidate sets) must
-// sort themselves.
+// sort themselves, as bucketIDs does for everything that moves tuples.
 type sparseDir struct {
 	buckets map[uint64][]entry
 	stored  int

@@ -351,7 +351,7 @@ func TestAbortThenRestartMigration(t *testing.T) {
 // once per probe — its value does not depend on the configuration, so
 // consulting the old AND the new layout must still charge a single C_h.
 // The same invariant holds for deletes, which compute two bucket ids, and
-// for the sharded index. A regression that hashes per directory doubles
+// at eight stripes. A regression that hashes per directory doubles
 // the probe cost the tuner feeds into the paper's Crq model.
 func TestMidMigrationStatsNoDoubleHash(t *testing.T) {
 	build := func() *Index {
@@ -434,5 +434,84 @@ func TestMidMigrationStatsNoDoubleHash(t *testing.T) {
 	}
 	if sst.Hashes != 3 {
 		t.Errorf("sharded delete mid-migration: Hashes = %d, want 3", sst.Hashes)
+	}
+}
+
+// TestSparseDrainStatsReproducible: two identically fed indexes drained by
+// the same steps must charge identical Stats to the same mid-drain probes.
+// Which tuples a bounded step moves first decides which non-matching
+// colliding tuples a probe still meets in the old directory, so the drain
+// order must not inherit a sparse directory's map iteration order — the
+// engine's virtual clock is computed from these numbers. The second drain
+// runs over buckets an AbortMigration refilled, whose order must not
+// inherit it either.
+func TestSparseDrainStatsReproducible(t *testing.T) {
+	for _, stripes := range []int{1, 8} {
+		var twins [2]*Index
+		for i := range twins {
+			// 16 buckets of ~25 tuples: a bounded step ends inside a bucket.
+			twins[i] = mustNewSharded(t, NewConfig(2, 1, 1), []int{0, 1, 2}, nil, stripes, WithDenseLimit(0))
+			rng := rand.New(rand.NewPCG(9, 9))
+			for k := 0; k < 400; k++ {
+				twins[i].Insert(tuple.New(0, uint64(k), 0, []tuple.Value{
+					tuple.Value(rng.Uint64N(64)), tuple.Value(rng.Uint64N(64)), tuple.Value(rng.Uint64N(64))}))
+			}
+		}
+		rng := rand.New(rand.NewPCG(10, 10))
+		for _, round := range []struct {
+			next Config
+			step int // differs, so the second drain ends inside a refilled bucket
+		}{{NewConfig(4, 4, 4), 150}, {NewConfig(3, 5, 4), 90}} {
+			for _, ix := range twins {
+				ix.AbortMigration() // the second round's: no-op on the first
+				if err := ix.StartMigration(round.next); err != nil {
+					t.Fatal(err)
+				}
+				if _, done := ix.MigrateStep(round.step); done {
+					t.Fatal("drain finished; the probes below must land mid-drain")
+				}
+			}
+			for k := 0; k < 64; k++ {
+				p := query.Pattern(1+rng.IntN(7)) & query.FullPattern(3)
+				vals := []tuple.Value{tuple.Value(rng.Uint64N(64)), tuple.Value(rng.Uint64N(64)), tuple.Value(rng.Uint64N(64))}
+				sa := twins[0].Search(p, vals, func(*tuple.Tuple) bool { return true })
+				sb := twins[1].Search(p, vals, func(*tuple.Tuple) bool { return true })
+				if sa != sb {
+					t.Fatalf("stripes=%d, draining to %v: probe %v %v charged %+v on one index and %+v on its twin", stripes, round.next, p, vals, sa, sb)
+				}
+			}
+		}
+	}
+}
+
+// TestMigrateStepExactBudget pins the completion rule: a drain is done the
+// moment the last tuple moves, not one call later. A state of exactly 2n
+// tuples finishes on the second MigrateStep(n), and the next probe consults
+// one directory only.
+func TestMigrateStepExactBudget(t *testing.T) {
+	const n = 50
+	for _, stripes := range []int{1, 8} {
+		ix := mustNewSharded(t, NewConfig(3, 3, 0), []int{0, 1, 2}, nil, stripes)
+		for i := 0; i < 2*n; i++ {
+			ix.Insert(tuple.New(0, uint64(i), 0, []tuple.Value{tuple.Value(i), tuple.Value(i * 7), 0}))
+		}
+		next := NewConfig(2, 2, 2)
+		if err := ix.StartMigration(next); err != nil {
+			t.Fatal(err)
+		}
+		if st, done := ix.MigrateStep(n); done || st.Tuples != n {
+			t.Fatalf("stripes=%d: first step moved %d tuples, done=%v; want %d, not done", stripes, st.Tuples, done, n)
+		}
+		if st, done := ix.MigrateStep(n); !done || st.Tuples != n {
+			t.Fatalf("stripes=%d: second step moved %d tuples, done=%v; want %d, done", stripes, st.Tuples, done, n)
+		}
+		if ix.Migrating() {
+			t.Fatalf("stripes=%d: still migrating with nothing left to move", stripes)
+		}
+		p := query.PatternOf(0)
+		st := ix.Search(p, []tuple.Value{1, 0, 0}, func(*tuple.Tuple) bool { return true })
+		if want := 1 << uint(next.TotalBits()-next.BitsFor(p)); st.Buckets != want {
+			t.Fatalf("stripes=%d: probe after the drain visited %d buckets, want one directory's %d", stripes, st.Buckets, want)
+		}
 	}
 }

@@ -11,22 +11,6 @@ import (
 	"amri/internal/tuple"
 )
 
-// modelIndex is the operation set the model-based test drives; Index and
-// ShardedIndex both provide it.
-type modelIndex interface {
-	Insert(*tuple.Tuple) Stats
-	Delete(*tuple.Tuple) (Stats, bool)
-	Search(query.Pattern, []tuple.Value, func(*tuple.Tuple) bool) Stats
-	SearchMatch(query.Pattern, []tuple.Value, *Matcher, *SearchScratch, []*tuple.Tuple) (Stats, []*tuple.Tuple)
-	StartMigration(Config) error
-	MigrateStep(int) (Stats, bool)
-	AbortMigration() (Stats, bool)
-	Migrate(Config) (Stats, error)
-	Migrating() bool
-	Config() Config
-	Len() int
-}
-
 // The model's tuples carry four attributes of which the index reads three,
 // out of order: IC field i reads tuple attribute modelAttrMap[i], and
 // attribute 1 is absent from the map (an equality on it can only be decided
@@ -88,24 +72,74 @@ func (pr *modelProbe) survivors(stored []*tuple.Tuple) []uint64 {
 	return seqs
 }
 
+// modelStats is the Stats oracle: what a probe of pattern p with values vals
+// owes the cost model, computed from the plain slice alone. epochs holds the
+// configurations the probe consults — the live one, preceded by the old one
+// while a migration is in flight.
+//
+//   - Hashes: one per constrained attribute that any consulted epoch
+//     indexes — charged once even when two epochs place it.
+//   - Buckets: 2^wildBits per epoch, wildBits being the bits of the
+//     unconstrained attributes. Exact for an enumerating probe, which every
+//     probe of a dense directory is.
+//   - Tuples: the stored tuples whose constrained indexed fields hash to
+//     the probe's bits. Exact under a single epoch; mid-drain it depends on
+//     which tuples have moved, so callers compare it only outside a drain.
+func modelStats(h Hasher, attrMap []int, epochs []Config, p query.Pattern, vals []tuple.Value, stored []*tuple.Tuple) Stats {
+	var st Stats
+	for i := range attrMap {
+		for _, cfg := range epochs {
+			if p.Has(i) && cfg.Bits[i] > 0 {
+				st.Hashes++
+				break
+			}
+		}
+	}
+	for _, cfg := range epochs {
+		st.Buckets += 1 << uint(cfg.TotalBits()-cfg.BitsFor(p))
+	}
+	live := epochs[len(epochs)-1]
+	for _, x := range stored {
+		hit := true
+		for i, a := range attrMap {
+			if b := live.Bits[i]; p.Has(i) && b > 0 && (h(i, x.Attrs[a])^h(i, vals[i]))&(1<<b-1) != 0 {
+				hit = false
+				break
+			}
+		}
+		if hit {
+			st.Tuples++
+		}
+	}
+	return st
+}
+
+// diffStats reports how a probe's Stats differ from the oracle's, or "".
+// Buckets (and the absence of masked directory scans) are compared only on
+// dense directories, Tuples only under a single epoch — see modelStats.
+func diffStats(got, want Stats, dense, draining bool) string {
+	if got.Hashes != want.Hashes {
+		return fmt.Sprintf("Hashes = %d, model predicts %d", got.Hashes, want.Hashes)
+	}
+	if dense && (got.Buckets != want.Buckets || got.DirScans != 0) {
+		return fmt.Sprintf("Buckets = %d (DirScans %d), model predicts %d enumerated", got.Buckets, got.DirScans, want.Buckets)
+	}
+	if !draining && got.Tuples != want.Tuples {
+		return fmt.Sprintf("Tuples = %d, model predicts %d", got.Tuples, want.Tuples)
+	}
+	return ""
+}
+
 // check probes ix and reports how the result differs from want, or "".
-// With stats set it also requires Search to charge what SearchMatch did —
-// only meaningful while nothing moves tuples between the two calls. It is
-// safe to call from several goroutines (the sharded index's concurrent
-// probes): every buffer is local.
-func (pr *modelProbe) check(t *testing.T, ix modelIndex, want []uint64, stats bool) string {
+// It is safe to call from several goroutines (concurrent probes racing a
+// drain): every buffer is local.
+func (pr *modelProbe) check(t *testing.T, ix *Index, want []uint64) (Stats, string) {
 	var ss SearchScratch
 	got, st := matcherSeqs(t, ix, pr.p, pr.vals, &pr.m, &ss)
 	if !sameSeqs(got, want) {
-		return fmt.Sprintf("SearchMatch(%v, %v, %+v) = %v, want %v", pr.p, pr.vals, pr.m, got, want)
+		return st, fmt.Sprintf("SearchMatch(%v, %v, %+v) = %v, want %v", pr.p, pr.vals, pr.m, got, want)
 	}
-	if !stats {
-		return ""
-	}
-	if ref := ix.Search(pr.p, pr.vals, func(*tuple.Tuple) bool { return true }); ref != st {
-		return fmt.Sprintf("SearchMatch(%v, %v) stats %+v, Search charges %+v", pr.p, pr.vals, st, ref)
-	}
-	return ""
+	return st, ""
 }
 
 func randomModelConfig(rng *rand.Rand) Config {
@@ -117,13 +151,13 @@ func randomModelConfig(rng *rand.Rand) Config {
 // Migrate sequences run against a plain slice of the stored tuples, and
 // after every step a random probe must return exactly the tuples of that
 // slice its Matcher accepts — mid-drain included — with SearchMatch and
-// Search charging equal Stats. Each sequence runs for the flat index and
+// Search charging equal Stats, and those Stats equal to what modelStats
+// predicts from the slice. Each sequence runs for the index New builds and
 // for 1 and 8 shards, dense and sparse, under three hashers: the default,
 // the identity (the model's small values leave every tag zero: no
 // filtering, still exact) and a constant (every tuple in one bucket under
-// one tag: the tag can never decide a match on its own). On a sharded
-// index a draining migration is also probed from several goroutines while
-// MigrateStep runs.
+// one tag: the tag can never decide a match on its own). A draining
+// migration is also probed from several goroutines while MigrateStep runs.
 func TestModelIndex(t *testing.T) {
 	hashers := []struct {
 		name string
@@ -134,7 +168,7 @@ func TestModelIndex(t *testing.T) {
 		{"constant", func(int, tuple.Value) uint64 { return 0xa5a5a5a5a5a5a5a5 }},
 	}
 	for _, hs := range hashers {
-		for _, shards := range []int{0, 1, 8} { // 0: the flat Index
+		for _, shards := range []int{0, 1, 8} { // 0: New, the constructor without a stripe count
 			for _, dense := range []bool{true, false} {
 				name := fmt.Sprintf("%s/shards=%d/dense=%v", hs.name, shards, dense)
 				t.Run(name, func(t *testing.T) {
@@ -144,24 +178,24 @@ func TestModelIndex(t *testing.T) {
 					}
 					rng := rand.New(rand.NewPCG(uint64(shards)+1, uint64(limit)))
 					cfg := NewConfig(3, 2, 3)
-					var ix modelIndex
-					if shards == 0 {
-						ix = mustNew(t, cfg, modelAttrMap, hs.h, WithDenseLimit(limit))
-					} else {
+					ix := mustNew(t, cfg, modelAttrMap, hs.h, WithDenseLimit(limit))
+					if shards > 0 {
 						ix = mustNewSharded(t, cfg, modelAttrMap, hs.h, shards, WithDenseLimit(limit))
 					}
-					runModel(t, rng, ix, shards > 0)
+					runModel(t, rng, ix, hs.h, dense)
 				})
 			}
 		}
 	}
 }
 
-func runModel(t *testing.T, rng *rand.Rand, ix modelIndex, concurrent bool) {
+func runModel(t *testing.T, rng *rand.Rand, ix *Index, h Hasher, dense bool) {
 	var stored []*tuple.Tuple
+	var old Config // the configuration an in-flight migration drains from
 	arrival := uint64(0)
 	for step := 0; step < 400; step++ {
 		op := "insert"
+		before := ix.Config()
 		switch r := rng.IntN(100); {
 		case r < 45:
 			arrival++
@@ -191,12 +225,16 @@ func runModel(t *testing.T, rng *rand.Rand, ix modelIndex, concurrent bool) {
 			op = "start"
 			next := randomModelConfig(rng)
 			wantErr := ix.Migrating() || next.Equal(ix.Config())
-			if err := ix.StartMigration(next); (err != nil) != wantErr {
+			err := ix.StartMigration(next)
+			if (err != nil) != wantErr {
 				t.Fatalf("step %d: StartMigration(%v) error %v, want error %v", step, next, err, wantErr)
+			}
+			if err == nil {
+				old = before
 			}
 		case r < 88:
 			op = "step"
-			if concurrent && ix.Migrating() && rng.IntN(3) == 0 {
+			if ix.Migrating() && rng.IntN(3) == 0 {
 				op = "racing step"
 				raceDrain(t, rng, ix, stored, arrival)
 				break
@@ -218,7 +256,23 @@ func runModel(t *testing.T, rng *rand.Rand, ix modelIndex, concurrent bool) {
 			t.Fatalf("step %d (%s): Len = %d, oracle holds %d", step, op, ix.Len(), len(stored))
 		}
 		pr := randomModelProbe(rng, arrival)
-		if diff := pr.check(t, ix, pr.survivors(stored), true); diff != "" {
+		st, diff := pr.check(t, ix, pr.survivors(stored))
+		if diff == "" {
+			// Nothing moves tuples between the two calls, so Search must
+			// charge what SearchMatch did.
+			if ref := ix.Search(pr.p, pr.vals, func(*tuple.Tuple) bool { return true }); ref != st {
+				diff = fmt.Sprintf("SearchMatch(%v, %v) stats %+v, Search charges %+v", pr.p, pr.vals, st, ref)
+			}
+		}
+		if diff == "" {
+			epochs := []Config{ix.Config()}
+			if ix.Migrating() {
+				epochs = []Config{old, epochs[0]}
+			}
+			want := modelStats(h, modelAttrMap, epochs, pr.p, pr.vals, stored)
+			diff = diffStats(st, want, dense, ix.Migrating())
+		}
+		if diff != "" {
 			t.Fatalf("step %d (%s, migrating=%v, %v): %s", step, op, ix.Migrating(), ix.Config(), diff)
 		}
 	}
@@ -228,7 +282,7 @@ func runModel(t *testing.T, rng *rand.Rand, ix modelIndex, concurrent bool) {
 // goroutines run fixed probes against it. Draining moves tuples between
 // directories but never changes the stored set, so every probe, whenever it
 // lands, must see exactly the oracle's survivors.
-func raceDrain(t *testing.T, rng *rand.Rand, ix modelIndex, stored []*tuple.Tuple, arrival uint64) {
+func raceDrain(t *testing.T, rng *rand.Rand, ix *Index, stored []*tuple.Tuple, arrival uint64) {
 	const probers = 3
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -239,7 +293,7 @@ func raceDrain(t *testing.T, rng *rand.Rand, ix modelIndex, stored []*tuple.Tupl
 		go func() {
 			defer wg.Done()
 			for {
-				if diff := pr.check(t, ix, want, false); diff != "" {
+				if _, diff := pr.check(t, ix, want); diff != "" {
 					t.Errorf("probe racing MigrateStep: %s", diff)
 					return
 				}

@@ -89,7 +89,7 @@ func (ss *SearchScratch) spreadTable(pat query.Pattern, gen uint64, pl *shardPla
 
 // maxSharedSpan caps the wildcard span SearchMatch materializes into the
 // scratch id list for reuse across shards; wider spans enumerate per shard
-// (the flat-index behaviour) to bound scratch memory.
+// to bound scratch memory.
 const maxSharedSpan = 1 << 16
 
 // maxCachedSpan bounds the spans worth caching in a SearchScratch spread
@@ -149,8 +149,7 @@ func scanBucketMatch(b []entry, st *Stats, f *probeFilter, out []*tuple.Tuple) [
 }
 
 // matchTuple applies the Matcher to one candidate: scanBucketMatch's full
-// check on tag survivors, and the whole filter of the visit-based flat
-// migration fallback.
+// check on tag survivors.
 func matchTuple(m *Matcher, x *tuple.Tuple) bool {
 	if m.Driver != 0 && (x.Arrival >= m.Driver || x.TS <= m.MinTS) {
 		return false
@@ -163,92 +162,12 @@ func matchTuple(m *Matcher, x *tuple.Tuple) bool {
 	return true
 }
 
-// SearchMatch is Search with the candidate filter applied inline: it scans
-// the buckets the access pattern addresses, appends the tuples accepted by
-// the Matcher to out, and returns the (Search-identical) work stats plus
-// the extended slice. out's backing array is reused; pass out[:0] of a
-// caller-owned scratch slice.
-//
-//amrivet:hotpath match-collecting bucket-span scan, the innermost per-probe loop
-func (ix *Index) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matcher, _ *SearchScratch, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
-	if ix.mig != nil {
-		return ix.searchMatchMigrating(p, vals, m, out)
-	}
-	var st Stats
-	var base uint64
-	ix.wildFields = ix.wildFields[:0]
-	wildBits := 0
-	for i, bits := range ix.cfg.Bits {
-		if bits == 0 {
-			continue
-		}
-		if p.Has(i) {
-			h := ix.hasher(i, vals[i])
-			base |= ix.lay.fieldOf(i, h, bits)
-			st.Hashes++
-		} else {
-			ix.wildFields = append(ix.wildFields, wildField{shift: ix.lay.shift[i], bits: bits})
-			wildBits += int(bits)
-		}
-	}
-
-	f := newProbeFilter(ix.hasher, ix.attrMap, m)
-	dd, dense := ix.dir.(*denseDir)
-	enumerate := true
-	if !dense {
-		if wildBits >= 63 || (1<<uint(wildBits)) > uint64(ix.dir.occupied()) {
-			enumerate = false
-		}
-	}
-
-	if enumerate {
-		span := uint64(1) << uint(wildBits)
-		if dense {
-			for c := uint64(0); c < span; c++ {
-				id := base | ix.spread(c)
-				st.Buckets++
-				if !dd.has(id) {
-					continue
-				}
-				out = scanBucketMatch(dd.buckets[id], &st, &f, out)
-			}
-			return st, out
-		}
-		for c := uint64(0); c < span; c++ {
-			id := base | ix.spread(c)
-			st.Buckets++
-			out = scanBucketMatch(ix.dir.bucket(id), &st, &f, out)
-		}
-		return st, out
-	}
-
-	mst, out := searchMatchMasked(ix.dir, ix.lay.patternMask(p), base, f, out)
-	st.DirScans += mst.DirScans
-	st.Buckets += mst.Buckets
-	st.Tuples += mst.Tuples
-	return st, out
-}
-
-// searchMatchMigrating serves SearchMatch's rare dual-directory migration
-// window through the visit-based path. It lives in its own function so the
-// closure's captures are boxed only when a migration is actually in flight —
-// inlined into SearchMatch they forced `out` onto the heap on every probe.
-func (ix *Index) searchMatchMigrating(p query.Pattern, vals []tuple.Value, m *Matcher, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
-	st := ix.searchMigrating(p, vals, func(x *tuple.Tuple) bool {
-		if matchTuple(m, x) {
-			out = append(out, x)
-		}
-		return true
-	})
-	return st, out
-}
-
-// searchMatchMasked is the full-directory masked scan shared by the flat and
-// sharded non-enumerating fallbacks (wildcard span wider than the occupied
-// slot count). Separated for the same escape reason as searchMatchMigrating:
-// the forEach closure boxes what it captures, so it must capture locals of a
-// cold function, not the hot probe loop's accumulators — which is also why
-// the filter arrives by value.
+// searchMatchMasked is the full-directory masked scan, the non-enumerating
+// fallback (wildcard span wider than the occupied slot count). It is its own
+// function because the forEach closure boxes what it captures, so it must
+// capture locals of a cold function, not the hot probe loop's accumulators —
+// inlined, they forced `out` onto the heap on every probe — which is also
+// why the filter arrives by value.
 func searchMatchMasked(d directory, mask, base uint64, f probeFilter, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
 	var st Stats
 	want := base & mask
@@ -326,15 +245,17 @@ func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *S
 	return out
 }
 
-// SearchMatch is the sharded twin of Index.SearchMatch: identical Stats
-// accounting to ShardedIndex.Search, with the candidate filter inline and
-// the wildcard enumeration computed once per epoch instead of once per
-// shard (every shard of an epoch enumerates the same local ids — only the
-// high shard-selecting bits differ, and those pick which shards are
-// visited, not which local buckets).
+// SearchMatch is Search with the candidate filter applied inline: it scans
+// the buckets the access pattern addresses, appends the tuples accepted by
+// the Matcher to out, and returns the (Search-identical) work stats plus
+// the extended slice. out's backing array is reused; pass out[:0] of a
+// caller-owned scratch slice. The wildcard enumeration is computed once per
+// epoch instead of once per shard (every shard of an epoch enumerates the
+// same local ids — only the high shard-selecting bits differ, and those
+// pick which shards are visited, not which local buckets).
 //
-//amrivet:hotpath concurrent match-collecting scan with per-shard fan-out
-func (ix *ShardedIndex) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matcher, ss *SearchScratch, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
+//amrivet:hotpath match-collecting scan with per-shard fan-out, the innermost per-probe loop
+func (ix *Index) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matcher, ss *SearchScratch, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
 	var st Stats
 	var hm hashMemo
 	var pl shardPlan
@@ -398,7 +319,7 @@ func (ix *ShardedIndex) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matc
 // the partition key for shard-affine batched inserts. The hash work is not
 // charged to any Stats: partition routing is dispatch bookkeeping, and the
 // insert itself pays the modeled maintenance cost.
-func (ix *ShardedIndex) ShardOf(t *tuple.Tuple) int {
+func (ix *Index) ShardOf(t *tuple.Tuple) int {
 	var st Stats
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -11,9 +11,7 @@ import (
 
 // matcherSeqs runs SearchMatch and returns the matched Seqs sorted, plus
 // the stats.
-func matcherSeqs(t *testing.T, ix interface {
-	SearchMatch(query.Pattern, []tuple.Value, *Matcher, *SearchScratch, []*tuple.Tuple) (Stats, []*tuple.Tuple)
-}, p query.Pattern, vals []tuple.Value, m *Matcher, ss *SearchScratch) ([]uint64, Stats) {
+func matcherSeqs(t *testing.T, ix *Index, p query.Pattern, vals []tuple.Value, m *Matcher, ss *SearchScratch) ([]uint64, Stats) {
 	t.Helper()
 	st, out := ix.SearchMatch(p, vals, m, ss, nil)
 	seqs := make([]uint64, 0, len(out))
@@ -26,9 +24,7 @@ func matcherSeqs(t *testing.T, ix interface {
 
 // visitSeqs runs the visit-based Search with the same filter applied in the
 // callback — the reference SearchMatch must reproduce exactly.
-func visitSeqs(ix interface {
-	Search(query.Pattern, []tuple.Value, func(*tuple.Tuple) bool) Stats
-}, p query.Pattern, vals []tuple.Value, m *Matcher) ([]uint64, Stats) {
+func visitSeqs(ix *Index, p query.Pattern, vals []tuple.Value, m *Matcher) ([]uint64, Stats) {
 	var seqs []uint64
 	st := ix.Search(p, vals, func(x *tuple.Tuple) bool {
 		if matchTuple(m, x) {
@@ -40,7 +36,7 @@ func visitSeqs(ix interface {
 	return seqs, st
 }
 
-// TestSearchMatchEquivalence drives a flat Index and ShardedIndexes at
+// TestSearchMatchEquivalence drives the index New builds and indexes at
 // several stripe counts through random inserts/deletes and asserts that
 // SearchMatch returns exactly the tuples the visit-based Search + filter
 // accepts, with identical Stats, across patterns, matcher settings, a
@@ -64,7 +60,7 @@ func TestSearchMatchEquivalence(t *testing.T) {
 			cfg := NewConfig(4, 3, 3)
 			attrMap := []int{0, 1, 2}
 			plain := mustNew(t, cfg, attrMap, nil, WithDenseLimit(tc.denseLimit))
-			shardeds := map[int]*ShardedIndex{}
+			shardeds := map[int]*Index{}
 			for _, s := range []int{1, 4, 16} {
 				shardeds[s] = mustNewSharded(t, cfg, attrMap, nil, s, WithDenseLimit(tc.denseLimit))
 			}
@@ -132,7 +128,7 @@ func TestSearchMatchEquivalence(t *testing.T) {
 								t.Fatalf("%s: shards=%d matcher=%d pattern=%v: stats %+v, want %+v", step, s, mi, p, shSt, refSt)
 							}
 							// The sharded match set must also agree with the
-							// flat index (same stored tuples).
+							// one-stripe index (same stored tuples).
 							if !sameSeqs(wantSeqs, shSeqs) {
 								t.Fatalf("%s: shards=%d matcher=%d pattern=%v: %v, want flat %v", step, s, mi, p, shSeqs, wantSeqs)
 							}
@@ -161,7 +157,7 @@ func TestSearchMatchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Mid-drain, candidate supersets legitimately differ between a
-			// fully-migrated flat index and a partially drained sharded one
+			// fully-migrated index and a partially drained one
 			// (the two geometries admit different hash false positives), so
 			// only the SearchMatch-vs-Search equality within each index is
 			// asserted — match sets and Stats both exact.

@@ -10,7 +10,7 @@ import (
 	"amri/internal/tuple"
 )
 
-func mustNewSharded(t *testing.T, cfg Config, attrMap []int, h Hasher, shards int, opts ...Option) *ShardedIndex {
+func mustNewSharded(t *testing.T, cfg Config, attrMap []int, h Hasher, shards int, opts ...Option) *Index {
 	t.Helper()
 	ix, err := NewSharded(cfg, attrMap, h, shards, opts...)
 	if err != nil {
@@ -62,9 +62,7 @@ func TestShardedPaperExample(t *testing.T) {
 	}
 }
 
-func collectSeqs(st *Stats, ix interface {
-	Search(query.Pattern, []tuple.Value, func(*tuple.Tuple) bool) Stats
-}, p query.Pattern, vals []tuple.Value) []uint64 {
+func collectSeqs(st *Stats, ix *Index, p query.Pattern, vals []tuple.Value) []uint64 {
 	var seqs []uint64
 	got := ix.Search(p, vals, func(x *tuple.Tuple) bool {
 		seqs = append(seqs, x.Seq)
@@ -89,13 +87,15 @@ func sameSeqs(a, b []uint64) bool {
 	return true
 }
 
-// TestShardedMatchesPlain drives a plain Index and ShardedIndexes at
-// several stripe counts through the same random operation sequence —
-// inserts, deletes, searches, a mid-stream incremental migration with
-// partial steps, an abort, and a full Migrate — asserting identical match
-// sets and identical Stats at every probe. Dense directories on both sides
-// make the bucket accounting exactly comparable: every probe enumerates
-// the same wildcard span whether it is striped or not.
+// TestShardedMatchesPlain drives indexes at several stripe counts — the
+// one-stripe index New builds among them — through the same random
+// operation sequence: inserts, deletes, searches, a mid-stream incremental
+// migration with partial steps, an abort, and a full Migrate. Every probe
+// must return identical match sets and identical Stats at every stripe
+// count, and those Stats must be what modelStats predicts from the plain
+// slice of live tuples. Dense directories make the bucket accounting
+// exactly comparable: every probe enumerates the same wildcard span however
+// it is striped.
 func TestShardedMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	cfgA := NewConfig(4, 3, 3) // 10 bits
@@ -103,9 +103,15 @@ func TestShardedMatchesPlain(t *testing.T) {
 	attrMap := []int{0, 1, 2}
 
 	plain := mustNew(t, cfgA, attrMap, nil)
-	shardeds := map[int]*ShardedIndex{}
-	for _, s := range []int{1, 4, 16} {
-		shardeds[s] = mustNewSharded(t, cfgA, attrMap, nil, s)
+	striped := map[int]*Index{}
+	for _, s := range []int{4, 16} {
+		striped[s] = mustNewSharded(t, cfgA, attrMap, nil, s)
+	}
+	all := func(op func(ix *Index)) {
+		op(plain)
+		for _, sx := range striped {
+			op(sx)
+		}
 	}
 
 	var live []*tuple.Tuple
@@ -114,19 +120,26 @@ func TestShardedMatchesPlain(t *testing.T) {
 		query.PatternOf(0, 1), query.PatternOf(0, 2), query.PatternOf(1, 2),
 		query.FullPattern(3),
 	}
-
-	check := func(step string) {
-		t.Helper()
-		if plain.Len() == 0 && len(live) != 0 {
-			t.Fatalf("%s: bookkeeping bug in test", step)
-		}
-		vals := []tuple.Value{
+	randomVals := func() []tuple.Value {
+		return []tuple.Value{
 			tuple.Value(rng.Uint64N(32)), tuple.Value(rng.Uint64N(32)), tuple.Value(rng.Uint64N(32)),
 		}
+	}
+
+	// check compares raw candidate sets and Stats: across stripe counts, and
+	// against the model under the epochs the probes consult (the live
+	// configuration, preceded by the old one while a migration is open).
+	check := func(step string, epochs ...Config) {
+		t.Helper()
+		vals := randomVals()
 		for _, p := range patterns {
 			var pst Stats
 			want := collectSeqs(&pst, plain, p, vals)
-			for s, sx := range shardeds {
+			model := modelStats(DefaultHasher, attrMap, epochs, p, vals, live)
+			if diff := diffStats(pst, model, true, len(epochs) > 1); diff != "" {
+				t.Fatalf("%s: pattern=%v: %s", step, p, diff)
+			}
+			for s, sx := range striped {
 				var sst Stats
 				got := collectSeqs(&sst, sx, p, vals)
 				if !sameSeqs(want, got) {
@@ -139,16 +152,6 @@ func TestShardedMatchesPlain(t *testing.T) {
 		}
 	}
 
-	apply := func(op func(interface {
-		Insert(*tuple.Tuple) Stats
-		Delete(*tuple.Tuple) (Stats, bool)
-	})) {
-		op(plain)
-		for _, sx := range shardeds {
-			op(sx)
-		}
-	}
-
 	mutate := func(n int) {
 		for i := 0; i < n; i++ {
 			if len(live) > 0 && rng.Uint64N(4) == 0 {
@@ -156,37 +159,26 @@ func TestShardedMatchesPlain(t *testing.T) {
 				victim := live[j]
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
-				apply(func(ix interface {
-					Insert(*tuple.Tuple) Stats
-					Delete(*tuple.Tuple) (Stats, bool)
-				}) {
+				all(func(ix *Index) {
 					if _, ok := ix.Delete(victim); !ok {
 						t.Fatalf("delete of live tuple failed")
 					}
 				})
 				continue
 			}
-			tp := tuple.New(0, rng.Uint64(), 0, []tuple.Value{
-				tuple.Value(rng.Uint64N(32)), tuple.Value(rng.Uint64N(32)), tuple.Value(rng.Uint64N(32)),
-			})
+			tp := tuple.New(0, rng.Uint64(), 0, randomVals())
 			live = append(live, tp)
-			apply(func(ix interface {
-				Insert(*tuple.Tuple) Stats
-				Delete(*tuple.Tuple) (Stats, bool)
-			}) {
-				ix.Insert(tp)
-			})
+			all(func(ix *Index) { ix.Insert(tp) })
 		}
 	}
 
 	// checkVerified compares predicate-verified matches only: mid-drain the
-	// two implementations relocate different tuples first, so the raw
-	// candidate supersets may differ while the true matches must not.
+	// stripe counts relocate different tuples first, so the raw candidate
+	// supersets may differ while the true matches must not — and must be
+	// exactly the live tuples that satisfy the predicate.
 	checkVerified := func(step string) {
 		t.Helper()
-		vals := []tuple.Value{
-			tuple.Value(rng.Uint64N(32)), tuple.Value(rng.Uint64N(32)), tuple.Value(rng.Uint64N(32)),
-		}
+		vals := randomVals()
 		verify := func(p query.Pattern, x *tuple.Tuple) bool {
 			for i := 0; i < 3; i++ {
 				if p.Has(i) && x.Attrs[i] != vals[i] {
@@ -197,16 +189,15 @@ func TestShardedMatchesPlain(t *testing.T) {
 		}
 		for _, p := range patterns {
 			var want []uint64
-			plain.Search(p, vals, func(x *tuple.Tuple) bool {
+			for _, x := range live {
 				if verify(p, x) {
 					want = append(want, x.Seq)
 				}
-				return true
-			})
+			}
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			for s, sx := range shardeds {
+			all(func(ix *Index) {
 				var got []uint64
-				sx.Search(p, vals, func(x *tuple.Tuple) bool {
+				ix.Search(p, vals, func(x *tuple.Tuple) bool {
 					if verify(p, x) {
 						got = append(got, x.Seq)
 					}
@@ -214,65 +205,55 @@ func TestShardedMatchesPlain(t *testing.T) {
 				})
 				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 				if !sameSeqs(want, got) {
-					t.Fatalf("%s: shards=%d pattern=%v: verified matches %v, want %v", step, s, p, got, want)
+					t.Fatalf("%s: %v pattern=%v: verified matches %v, want %v", step, ix, p, got, want)
 				}
-			}
+			})
 		}
 	}
 
 	mutate(300)
-	check("warm")
+	check("warm", cfgA)
 
 	// Incremental migration to cfgB, probed while partially drained.
-	if err := plain.StartMigration(cfgB); err != nil {
-		t.Fatal(err)
-	}
-	for _, sx := range shardeds {
-		if err := sx.StartMigration(cfgB); err != nil {
+	all(func(ix *Index) {
+		if err := ix.StartMigration(cfgB); err != nil {
 			t.Fatal(err)
 		}
-	}
-	check("migration started")
+	})
+	// Nothing has moved yet: every pre-migration tuple still sits in the
+	// old directories, so raw candidates agree across stripe counts.
+	check("migration started", cfgA, cfgB)
 	mutate(60)
-	check("mid-migration mutations")
-	plain.MigrateStep(100)
-	for _, sx := range shardeds {
-		sx.MigrateStep(100)
-	}
+	check("mid-migration mutations", cfgA, cfgB)
+	all(func(ix *Index) { ix.MigrateStep(100) })
 	checkVerified("partial drain")
 
-	// Abort: both sides must land back on cfgA with identical contents.
-	if _, ok := plain.AbortMigration(); !ok {
-		t.Fatal("plain abort failed")
-	}
-	for _, sx := range shardeds {
-		if _, ok := sx.AbortMigration(); !ok {
-			t.Fatal("sharded abort failed")
+	// Abort: every index must land back on cfgA with identical contents.
+	all(func(ix *Index) {
+		if _, ok := ix.AbortMigration(); !ok {
+			t.Fatalf("%v: abort failed", ix)
 		}
-		if !sx.Config().Equal(cfgA) {
-			t.Fatalf("post-abort config = %v, want %v", sx.Config(), cfgA)
+		if !ix.Config().Equal(cfgA) {
+			t.Fatalf("post-abort config = %v, want %v", ix.Config(), cfgA)
 		}
-	}
-	check("aborted")
+	})
+	check("aborted", cfgA)
 
 	// Full migrate to cfgB and drain-to-completion equivalence.
-	if _, err := plain.Migrate(cfgB); err != nil {
-		t.Fatal(err)
-	}
-	for s, sx := range shardeds {
-		if _, err := sx.Migrate(cfgB); err != nil {
+	all(func(ix *Index) {
+		if _, err := ix.Migrate(cfgB); err != nil {
 			t.Fatal(err)
 		}
-		if sx.Migrating() {
-			t.Fatalf("shards=%d still migrating after Migrate", s)
+		if ix.Migrating() {
+			t.Fatalf("%v still migrating after Migrate", ix)
 		}
-		if sx.Len() != plain.Len() {
-			t.Fatalf("shards=%d Len = %d, want %d", s, sx.Len(), plain.Len())
+		if ix.Len() != len(live) {
+			t.Fatalf("%v Len = %d, want %d", ix, ix.Len(), len(live))
 		}
-	}
-	check("full migrate")
+	})
+	check("full migrate", cfgB)
 	mutate(100)
-	check("post-migrate mutations")
+	check("post-migrate mutations", cfgB)
 }
 
 // TestShardedIncrementalDrain pins the shard-local drain mechanics:

@@ -47,7 +47,7 @@ type Scenario struct {
 	// Ticks is the run horizon (default 30).
 	Ticks int64 `json:"ticks"`
 	// Workers and Shards set the probe fan-out (defaults 8 and 8; Shards 0
-	// is the flat, unsharded index).
+	// is one stripe with stop-the-world migrations).
 	Workers int `json:"workers"`
 	Shards  int `json:"shards"`
 	// MailboxCap bounds operator mailboxes under PolicyBlock (default 64).
@@ -180,7 +180,7 @@ func Explore(sc Scenario) *Report {
 
 	// Serial reference: same plan minus the crash schedule, durable (the
 	// lossless-restore semantics must match the subject's), one worker,
-	// flat index.
+	// one stripe.
 	refPlan := sc.Plan
 	refPlan.CrashTicks = nil
 	refCfg := sc.config(1, 0, refPlan)

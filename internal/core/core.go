@@ -101,17 +101,15 @@ type Options struct {
 	Cost cost.Params
 	// Seed fixes the random-combination RNG.
 	Seed uint64
-	// Shards, when positive, backs the index with a lock-striped
-	// bitindex.ShardedIndex of that many sub-directories (a power of two,
-	// at most 256) and makes every AdaptiveIndex method safe for
-	// concurrent use. Tuning then migrates incrementally — StartMigration
-	// plus bounded MigrateStep advances on the insert path — so a retune
-	// never stops the world. Zero keeps the flat single-threaded index
-	// and the stop-the-world Migrate the deterministic simulator relies
-	// on.
+	// Shards, when positive, stripes the index's directory over that many
+	// lock-striped sub-directories (a power of two, at most 256), and
+	// tuning migrates incrementally — StartMigration plus bounded
+	// MigrateStep advances on the insert path — so a retune never stops
+	// the world. Zero keeps one stripe and the stop-the-world Migrate the
+	// deterministic simulator relies on.
 	Shards int
 	// MigrateStepTuples bounds the incremental-migration work advanced
-	// per insert while a sharded migration drains (default 64).
+	// per insert while an incremental migration drains (default 64).
 	MigrateStepTuples int
 
 	autoCost bool
@@ -175,39 +173,16 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// backend is the bit-address index behind an AdaptiveIndex: the flat
-// single-threaded bitindex.Index or the lock-striped bitindex.ShardedIndex,
-// selected by Options.Shards.
-type backend interface {
-	Insert(t *tuple.Tuple) bitindex.Stats
-	Delete(t *tuple.Tuple) (bitindex.Stats, bool)
-	Search(p query.Pattern, vals []tuple.Value, visit func(*tuple.Tuple) bool) bitindex.Stats
-	SearchMatch(p query.Pattern, vals []tuple.Value, m *bitindex.Matcher, ss *bitindex.SearchScratch, out []*tuple.Tuple) (bitindex.Stats, []*tuple.Tuple)
-	Config() bitindex.Config
-	Len() int
-	MemBytes() int
-	Migrating() bool
-	StartMigration(newCfg bitindex.Config) error
-	MigrateStep(n int) (bitindex.Stats, bool)
-	AbortMigration() (bitindex.Stats, bool)
-	Migrate(newCfg bitindex.Config) (bitindex.Stats, error)
-}
-
-var (
-	_ backend = (*bitindex.Index)(nil)
-	_ backend = (*bitindex.ShardedIndex)(nil)
-)
-
-// AdaptiveIndex is a self-tuning bit-address index for one state. With
-// Options.Shards set it is safe for concurrent use: index operations run
-// on the lock-striped backend, while the assessor and the bookkeeping
-// counters — which have no internal synchronization — are guarded by mu.
-// The guarded critical sections never enclose an index operation, so
-// concurrent probes only serialize on the (cheap) statistics update.
+// AdaptiveIndex is a self-tuning bit-address index for one state. It is
+// safe for concurrent use: index operations run on the lock-striped index,
+// while the assessor and the bookkeeping counters — which have no internal
+// synchronization — are guarded by mu. The guarded critical sections never
+// enclose an index operation, so concurrent probes only serialize on the
+// (cheap) statistics update.
 type AdaptiveIndex struct {
 	opts        Options
-	ix          backend
-	incremental bool // sharded backend: tuning migrates via MigrateStep
+	ix          *bitindex.Index
+	incremental bool // Options.Shards > 0: tuning migrates via MigrateStep
 
 	// ctl is the long-lived retuning controller: cooldown, drift and
 	// migration-cost calibration state live across tuning passes, and its
@@ -237,15 +212,8 @@ func New(opts Options) (*AdaptiveIndex, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	var ix backend
-	var err error
-	if opts.Shards > 0 {
-		ix, err = bitindex.NewSharded(bitindex.Uniform(opts.NumAttrs, opts.BitBudget), opts.AttrMap,
-			opts.Hasher, opts.Shards, bitindex.WithDenseLimit(opts.DenseLimit))
-	} else {
-		ix, err = bitindex.New(bitindex.Uniform(opts.NumAttrs, opts.BitBudget), opts.AttrMap,
-			opts.Hasher, bitindex.WithDenseLimit(opts.DenseLimit))
-	}
+	ix, err := bitindex.NewSharded(bitindex.Uniform(opts.NumAttrs, opts.BitBudget), opts.AttrMap,
+		opts.Hasher, max(1, opts.Shards), bitindex.WithDenseLimit(opts.DenseLimit))
 	if err != nil {
 		return nil, err
 	}
@@ -268,11 +236,11 @@ func New(opts Options) (*AdaptiveIndex, error) {
 		return nil, err
 	}
 	a := &AdaptiveIndex{opts: opts, ix: ix, incremental: opts.Shards > 0}
-	// The concurrent backend drains MigrateStepTuples per insert, i.e.
-	// step·λ_d tuples per time unit; the flat backend migrates
-	// stop-the-world, so it has no dual-directory drain window.
+	// An incremental migration drains MigrateStepTuples per insert, i.e.
+	// step·λ_d tuples per time unit; a stop-the-world Migrate has no
+	// dual-directory drain window.
 	var drainRate float64
-	if opts.Shards > 0 {
+	if a.incremental {
 		drainRate = float64(opts.MigrateStepTuples) * opts.Cost.LambdaD
 	}
 	a.ctl = &tuner.Controller{
@@ -292,8 +260,8 @@ func New(opts Options) (*AdaptiveIndex, error) {
 }
 
 // Insert stores a tuple. While an incremental migration is draining (the
-// sharded backend's retune path) each insert also advances the drain by a
-// bounded step, so migration work is paid on the maintenance path the
+// retune path with Options.Shards set) each insert also advances the drain
+// by a bounded step, so migration work is paid on the maintenance path the
 // paper's C_dt term prices, never as one stop-the-world stall.
 func (a *AdaptiveIndex) Insert(t *tuple.Tuple) bitindex.Stats {
 	a.inserts.Add(1)
@@ -382,15 +350,9 @@ func (a *AdaptiveIndex) TuneClaimed() (migrated bool, active bitindex.Config) {
 	return a.tunePass()
 }
 
-// ShardOf returns the shard the tuple's bucket id routes to on a sharded
-// backend, or 0 on the flat index — the partition key for shard-affine
-// ingest batching.
-func (a *AdaptiveIndex) ShardOf(t *tuple.Tuple) int {
-	if sx, ok := a.ix.(*bitindex.ShardedIndex); ok {
-		return sx.ShardOf(t)
-	}
-	return 0
-}
+// ShardOf returns the shard the tuple's bucket id routes to — the partition
+// key for shard-affine ingest batching.
+func (a *AdaptiveIndex) ShardOf(t *tuple.Tuple) int { return a.ix.ShardOf(t) }
 
 // Tune runs one assessment + index-selection pass, migrating the index when
 // the modelled improvement clears the hysteresis. It reports whether a
@@ -467,9 +429,8 @@ func (a *AdaptiveIndex) tunePass() (migrated bool, active bitindex.Config) {
 			a.ctl.RecordAbort()
 			aborts = 1
 		case a.incremental:
-			// Sharded backend: begin an incremental migration and let the
-			// insert path drain it in bounded steps — retuning never stops
-			// the world.
+			// Begin an incremental migration and let the insert path drain
+			// it in bounded steps — retuning never stops the world.
 			if err := a.ix.StartMigration(pr.To); err == nil {
 				migrated = true
 			} else {

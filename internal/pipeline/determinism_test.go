@@ -64,7 +64,7 @@ func assertSameResultSet(t *testing.T, label string, serial, got *Result, want, 
 	}
 }
 
-// TestShardedDigestMatchesSerial: the 1-worker flat-index run is the
+// TestShardedDigestMatchesSerial: the 1-worker one-stripe run is the
 // reference; every combination of worker pool size and shard count must
 // reproduce its exact result set. The last case never retunes (a cadence
 // no run reaches) against a reference that does: the tuner moves access
@@ -83,7 +83,7 @@ func TestShardedDigestMatchesSerial(t *testing.T) {
 		tuneEvery       uint64 // 0 keeps detConfig's cadence
 	}{
 		{"1 worker, 1 shard", 1, 1, 0},
-		{"4 workers, flat index", 4, 0, 0},
+		{"4 workers, one stripe", 4, 0, 0},
 		{"4 workers, 8 shards", 4, 8, 0},
 		{"8 workers, 8 shards", 8, 8, 0},
 		{"4 workers, 8 shards, no tuning", 4, 8, 1 << 62},
@@ -104,22 +104,26 @@ func TestShardedDigestMatchesSerial(t *testing.T) {
 // TestGoldenDigest pins the result set across commits: every other test in
 // this file compares against a reference computed in the same process, so a
 // change that shifts the result set consistently in all configurations
-// passes them all. The flat 1-worker run of the drift workload (seed 1, 300
-// ticks, the configuration benchmark/workloads.go fixes) must keep
-// producing exactly this set.
+// passes them all. The one-stripe (Shards: 0) run of the drift workload
+// (seed 1, 300 ticks, the configuration benchmark/workloads.go fixes) must
+// keep producing exactly this set — from one probe worker, and from four:
+// one-stripe probes no longer queue on the operator lock, so under the race
+// detector the second case is also the pin of that concurrency surface.
 func TestGoldenDigest(t *testing.T) {
-	_, d := digestRun(t, Config{
-		Seed:          1,
-		Ticks:         300,
-		Method:        core.MethodCDIAHighest,
-		AutoTuneEvery: 2000,
-		Explore:       0.1,
-		MailboxCap:    64,
-		ShedPolicy:    PolicyBlock,
-		ProbeWorkers:  1,
-	})
-	if got := fmt.Sprintf("%016x-%d", d.xor, d.n); got != "9508ed9115ef9133-3503" {
-		t.Fatalf("drift seed-1 result set drifted: digest %s, want 9508ed9115ef9133-3503", got)
+	for _, workers := range []int{1, 4} {
+		_, d := digestRun(t, Config{
+			Seed:          1,
+			Ticks:         300,
+			Method:        core.MethodCDIAHighest,
+			AutoTuneEvery: 2000,
+			Explore:       0.1,
+			MailboxCap:    64,
+			ShedPolicy:    PolicyBlock,
+			ProbeWorkers:  workers,
+		})
+		if got := fmt.Sprintf("%016x-%d", d.xor, d.n); got != "9508ed9115ef9133-3503" {
+			t.Fatalf("drift seed-1 result set drifted at %d workers: digest %s, want 9508ed9115ef9133-3503", workers, got)
+		}
 	}
 }
 

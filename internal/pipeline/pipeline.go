@@ -50,12 +50,12 @@ type Config struct {
 	// see the determinism tests.
 	ProbeWorkers int
 	// Shards, when positive, lock-stripes every operator's bit-index over
-	// that many sub-directories (a power of two, at most 256): probes of
-	// the same state then proceed concurrently without the operator lock
-	// (each pins the live index epoch with one atomic load), and retune
+	// that many sub-directories (a power of two, at most 256), so probes
+	// of the same state that touch distinct stripes overlap, and retune
 	// migrations drain incrementally instead of stopping the world. Zero
-	// keeps the flat index; probes of a state then serialize on its
-	// operator lock even when ProbeWorkers > 1.
+	// keeps one stripe and stop-the-world migrations. Either way probes
+	// take no operator lock (each pins the live index epoch with one
+	// atomic load).
 	Shards int
 	// DispatchBatch is the dispatch hand-off grain: the source and
 	// the workers move probe jobs between deques in chunks of this many
@@ -191,17 +191,15 @@ type message struct {
 
 // operator is one STeM running as a goroutine: it owns its state's
 // AdaptiveIndex, plus the checkpoint its supervisor restarts it from after
-// a panic. Ingests, expiry and restores hold mu exclusively. Probes of a
-// sharded index never take it: they pin the live incarnation through cur
-// and are safe all the way down the lock-striped directory. Probes of a
-// flat index hold mu exclusively.
+// a panic. Ingests, expiry and restores hold mu exclusively. Probes never
+// take it: they pin the live incarnation through cur and are safe all the
+// way down the lock-striped directory, at every stripe count.
 type operator struct {
 	id        int
 	spec      *query.StateSpec
 	mb        *mailbox[message]
 	ckptEvery int
 	window    int64 // event-time window, immutable after construction
-	sharded   bool  // the index is lock-striped (Config.Shards > 0)
 	// newIx / newRetained rebuild the operator's state from scratch on a
 	// supervisor restart.
 	newIx       func() (*core.AdaptiveIndex, error)
@@ -481,9 +479,9 @@ func (o *operator) tunerSummary() tuner.Summary {
 // degradation response (statistics are reconstructible; tuples are not).
 // The injected cost, when the fault plan sets one, is charged WHILE the
 // write lock is held: a real reclamation walks the state it is shrinking,
-// so the stall-under-lock is the faithful model: it convoys ingests and
-// flat-index probes of this state, while sharded probes — which never take
-// the operator lock — run straight past it.
+// so the stall-under-lock is the faithful model: it convoys ingests of this
+// state, while probes — which never take the operator lock — run straight
+// past it.
 func (o *operator) shedAssessment(cost time.Duration) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -491,7 +489,7 @@ func (o *operator) shedAssessment(cost time.Duration) {
 		//amrivet:lockhold fault injection: the stall models reclamation walking the locked state, so it must be charged under the lock
 		time.Sleep(cost)
 	}
-	//amrivet:lockhold reclamation rewrites the assessor state o.mu guards; sharded probes never take this lock, so the hold convoys only maintenance and flat probes
+	//amrivet:lockhold reclamation rewrites the assessor state o.mu guards; probes never take this lock, so the hold convoys only maintenance
 	o.ix.ShedAssessment()
 }
 
@@ -502,13 +500,12 @@ func (o *operator) shedAssessment(cost time.Duration) {
 // tick barrier, where flushWorkers batches it through ObserveSearches).
 // The returned slice aliases the worker's scratch and is valid only until
 // that worker's next probe (safe: the worker consumes the matches before
-// popping another job). A sharded index is
-// probed lock-free: one atomic load pins the index incarnation for the whole
-// search — old-or-new atomicity against a concurrent restore — and the
-// sharded backend synchronizes internally all the way down its striped
-// directory, so a retune, checkpoint or restore on the serve goroutine
-// cannot stall the probe fan-out behind the operator lock. A flat index
-// demands exclusivity.
+// popping another job). The index is probed without the operator lock: one
+// atomic load pins the index incarnation for the whole search — old-or-new
+// atomicity against a concurrent restore — and the index synchronizes
+// internally all the way down its striped directory, so a retune,
+// checkpoint or restore on the serve goroutine cannot stall the probe
+// fan-out behind the operator lock.
 //
 //amrivet:hotpath batched-dispatch probe: inline-filter search with worker-owned scratch
 func (o *operator) probeMatch(c *tuple.Composite, sc *probeScratch) []*tuple.Tuple {
@@ -531,15 +528,7 @@ func (o *operator) probeMatch(c *tuple.Composite, sc *probeScratch) []*tuple.Tup
 	m.Driver = drv.Arrival
 	m.MinTS = drv.TS - o.window
 	sc.matches = sc.matches[:0]
-	if o.sharded {
-		ix := o.cur.Load()
-		_, sc.matches = ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
-	} else {
-		o.mu.Lock()
-		//amrivet:lockhold flat index scratch demands exclusivity for the whole search
-		_, sc.matches = o.ix.SearchMatch(pt, vals, m, &sc.ss, sc.matches)
-		o.mu.Unlock()
-	}
+	_, sc.matches = o.cur.Load().SearchMatch(pt, vals, m, &sc.ss, sc.matches)
 	sc.nprobes[o.id]++ // flushed to o.probes at the tick barrier
 	return sc.matches
 }
@@ -1203,7 +1192,6 @@ func newRun(cfg Config) (*run, error) {
 			spec:        spec,
 			ckptEvery:   cfg.CheckpointEvery,
 			window:      q.WindowTicks,
-			sharded:     cfg.Shards > 0,
 			partitioned: cfg.Shards > 0 && cfg.ProbeWorkers > 1,
 			durable:     cfg.Durable != nil,
 			newIx:       newIx,

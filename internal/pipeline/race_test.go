@@ -20,8 +20,8 @@ import (
 )
 
 // newTestOperator assembles a real operator for state 0 of the four-way
-// join, mirroring Run's construction. shards > 0 builds the lock-striped
-// index and the lock-free epoch probe path.
+// join, mirroring Run's construction. shards > 0 stripes the index and
+// makes its retunes incremental.
 func newTestOperator(t *testing.T, q *query.Query, autoTuneEvery uint64, seed uint64, shards int) *operator {
 	t.Helper()
 	spec := q.States[0]
@@ -44,7 +44,6 @@ func newTestOperator(t *testing.T, q *query.Query, autoTuneEvery uint64, seed ui
 		spec:     spec,
 		mb:       newMailbox[message](),
 		window:   q.WindowTicks,
-		sharded:  shards > 0,
 		ix:       ix,
 		retained: window.New(q.WindowTicks, 0),
 	}
@@ -63,10 +62,9 @@ func TestConcurrentProbeRetuneRace(t *testing.T) {
 	runConcurrentProbeRetune(t, 0)
 }
 
-// TestConcurrentProbeRetuneRaceSharded is the same hammer against the
-// lock-striped index: probes pin the index epoch and never take the
-// operator lock, so they genuinely overlap each other AND the incremental
-// migrations the insert path advances.
+// TestConcurrentProbeRetuneRaceSharded is the same hammer against eight
+// stripes: probes overlap each other AND the incremental migrations the
+// insert path advances.
 func TestConcurrentProbeRetuneRaceSharded(t *testing.T) {
 	runConcurrentProbeRetune(t, 8)
 }
@@ -74,20 +72,15 @@ func TestConcurrentProbeRetuneRaceSharded(t *testing.T) {
 // probeAndObserve is one probe plus the statistics half the pipeline defers
 // to its tick barrier: record the access pattern and run the tuning pass the
 // observation claims. Here the pass runs mid-traffic instead — a harsher
-// interleaving than Run's. A sharded index tunes lock-free; a flat index
-// migrates stop-the-world, so the operator lock stands in for the barrier's
-// quiescence.
+// interleaving than Run's, and legal at every stripe count: probes never
+// take the operator lock, and the index excludes them from whatever moves
+// tuples, be it a bounded MigrateStep or a stop-the-world Migrate.
 func probeAndObserve(op *operator, comp *tuple.Composite, sc *probeScratch) {
 	op.probeMatch(comp, sc)
 	ix := op.cur.Load()
-	if !ix.ObserveSearches(op.spec.PatternForDone(comp.Done), 1) {
-		return
+	if ix.ObserveSearches(op.spec.PatternForDone(comp.Done), 1) {
+		ix.TuneClaimed()
 	}
-	if !op.sharded {
-		op.mu.Lock()
-		defer op.mu.Unlock()
-	}
-	ix.TuneClaimed()
 }
 
 func runConcurrentProbeRetune(t *testing.T, shards int) {

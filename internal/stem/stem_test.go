@@ -181,12 +181,12 @@ func TestOutOfOrderExpiryIsExact(t *testing.T) {
 	}
 }
 
-// TestShardedStoreMatchesFlat drives two identical STeMs — one over the
-// flat BitStore, one over the lock-striped ShardedBitStore — through the
-// same inserts, probes and expiries, asserting identical matches,
-// candidates, index stats and clock charges. The sharded backend is a
-// drop-in for an operator's state: same IC semantics, same cost
-// accounting, just concurrency-safe.
+// TestShardedStoreMatchesFlat drives two identical STeMs — one over a
+// one-stripe BitStore, one over eight stripes — through the same inserts,
+// probes and expiries, asserting identical matches, candidates, index
+// stats and clock charges: the stripe count never shows in the IC
+// semantics or the cost accounting (bitindex.TestModelIndex owns the check
+// that those Stats are the right ones).
 func TestShardedStoreMatchesFlat(t *testing.T) {
 	q := query.FourWay(60)
 	spec := q.States[1]
@@ -205,7 +205,7 @@ func TestShardedStoreMatchesFlat(t *testing.T) {
 	clockF := sim.NewClock(1 << 30)
 	clockS := sim.NewClock(1 << 30)
 	sf := New(spec, storage.NewBitStore(flat), nil, 60, sim.DefaultCosts(), clockF)
-	ss := New(spec, storage.NewShardedBitStore(sharded), nil, 60, sim.DefaultCosts(), clockS)
+	ss := New(spec, storage.NewBitStore(sharded), nil, 60, sim.DefaultCosts(), clockS)
 
 	mk := func(seq uint64, ts int64) *tuple.Tuple {
 		return tuple.New(1, seq, ts, []tuple.Value{

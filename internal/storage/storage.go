@@ -81,7 +81,9 @@ func (s *ScanStore) MemBytes() int {
 	return 64 + 8*len(s.tuples) + 48*len(s.pos) + s.tupleBytes
 }
 
-// BitStore adapts a bit-address index to the Store interface.
+// BitStore adapts a bit-address index to the Store interface. Unlike the
+// other stores it is safe for concurrent use, at every stripe count of the
+// index it wraps.
 type BitStore struct {
 	*bitindex.Index
 }
@@ -94,25 +96,7 @@ func (b BitStore) Probe(p query.Pattern, vals []tuple.Value, visit func(*tuple.T
 	return b.Search(p, vals, visit)
 }
 
-// ShardedBitStore adapts the lock-striped bit-address index to the Store
-// interface. Unlike the other stores it is safe for concurrent use — it is
-// what a STeM backs its state with when operators probe from a worker pool.
-type ShardedBitStore struct {
-	*bitindex.ShardedIndex
-}
-
-// NewShardedBitStore wraps the sharded index.
-func NewShardedBitStore(ix *bitindex.ShardedIndex) ShardedBitStore {
-	return ShardedBitStore{ShardedIndex: ix}
-}
-
-// Probe delegates to the sharded index's wildcard bucket search.
-func (b ShardedBitStore) Probe(p query.Pattern, vals []tuple.Value, visit func(*tuple.Tuple) bool) bitindex.Stats {
-	return b.Search(p, vals, visit)
-}
-
 var (
 	_ Store = (*ScanStore)(nil)
 	_ Store = BitStore{}
-	_ Store = ShardedBitStore{}
 )
