@@ -54,13 +54,13 @@ race:
 	$(GO) test -race ./internal/... .
 
 # chaos runs the seeded fault-injection sweep under the race detector:
-# supervisor restarts, mailbox shedding, migration aborts, goroutine-leak
-# checks and the engine's soft-watermark degradation (DESIGN.md §8).
+# supervisor restarts, mailbox shedding, migration aborts and
+# goroutine-leak checks (DESIGN.md §8).
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Leak|Mailbox|MigrateGate|AbortMigration|Watermark' \
-		./internal/pipeline ./internal/bitindex ./internal/core ./internal/engine
+		-run 'Chaos|Leak|Mailbox|MigrateGate|AbortMigration' \
+		./internal/pipeline ./internal/bitindex ./internal/core
 
 # chaos-sweep is the durability gate (DESIGN.md §11): the crash/recover
 # exploration harness sweeps seeds × fault plans × crash points under the

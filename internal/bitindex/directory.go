@@ -107,8 +107,8 @@ func (d *denseDir) occupied() int { return d.occ }
 
 // memBytes is the simulated resident size: a slice header per slot plus 16
 // bytes per stored tuple, which is exactly one entry (tag + pointer). The
-// constant predates the tag and must not move: the engine's memory meter,
-// its soft watermark and the EXPERIMENTS.md outputs are computed from it.
+// constant predates the tag and must not move: the engine's memory meter
+// and the EXPERIMENTS.md outputs are computed from it.
 func (d *denseDir) memBytes() int {
 	return 24*len(d.buckets) + 16*d.stored
 }

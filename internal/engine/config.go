@@ -4,6 +4,12 @@
 // index configurations — all on the simulation substrate's virtual clock
 // and memory meter. One Engine executes one contender over one workload and
 // produces the throughput series the paper's figures plot.
+//
+// The engine owns neither durability nor an overload response: a run is a
+// pure function of (RunConfig, System), so an interrupted simulation is
+// re-run from its seed, and an overwhelmed contender backlogs and dies at
+// MemCap exactly as the paper reports. Both live in the executor that can
+// actually fail, internal/pipeline (DESIGN.md §8, §11).
 package engine
 
 import (
@@ -13,7 +19,6 @@ import (
 
 	"amri/internal/query"
 	"amri/internal/sim"
-	"amri/internal/storage"
 	"amri/internal/stream"
 	"amri/internal/tuple"
 )
@@ -160,15 +165,9 @@ type RunConfig struct {
 	// beyond it backlogs into the queue.
 	CPUBudget sim.Units
 	// MemCap is the simulated memory cap in bytes; exceeding it ends the
-	// run (0 disables).
+	// run with metrics.EndOOM (0 disables). There is no softer response:
+	// contenders die at the cap, as in the paper.
 	MemCap int
-	// SoftMemRatio enables graceful degradation: when the resident set
-	// crosses SoftMemRatio·MemCap, the engine sheds queued probe work and
-	// drops assessment statistics (both reconstructible) instead of
-	// sailing into the hard cap. A run that degraded but finished ends
-	// with metrics.EndDegraded. 0 disables (the default: contenders die
-	// at the cap exactly as the paper reports).
-	SoftMemRatio float64
 	// Costs prices the primitive operations.
 	Costs sim.CostTable
 	// Explore is the router's baseline suboptimal-route probability.
@@ -208,26 +207,6 @@ type RunConfig struct {
 	ContentRouting bool
 	// SampleEvery is the metrics sampling period in ticks.
 	SampleEvery int64
-	// Durable, when non-nil, makes the run recoverable: at every quiescent
-	// DurableEvery boundary (backlog empty) the engine persists a full
-	// checkpoint — each state's retained window and index configuration,
-	// plus a run record with the cumulative counters — and engine.Recover
-	// can rebuild the run from the newest one. Requires the internal
-	// generator (Source must be nil): recovery rolls the run back to the
-	// checkpoint boundary and replays forward deterministically, so the
-	// workload source must be regenerable.
-	Durable storage.CheckpointStore
-	// DurableEvery is the checkpoint cadence in ticks (default 1 when
-	// Durable is set). Boundaries with a non-empty backlog are skipped —
-	// a checkpoint is only exact when the tick's work has fully drained —
-	// so a CPU-starved run checkpoints at the next quiescent boundary.
-	DurableEvery int64
-	// CrashAfterTicks, when positive, kills the run at the boundary after
-	// that many completed ticks (EndCrashed), modelling a whole-process
-	// death for the crash/recover tests and the chaos harness. Requires
-	// Durable. CrashAfterTicks == N crashes after tick N-1's boundary work,
-	// checkpoint included.
-	CrashAfterTicks int64
 	// OnResult, when set, receives every emitted join result with the tick
 	// it was produced at — the hook the aggregation layer (internal/agg)
 	// and custom consumers attach to. The composite is shared; consumers
@@ -281,23 +260,8 @@ func (c *RunConfig) Validate() error {
 	if c.CPUBudget <= 0 {
 		return fmt.Errorf("engine: CPUBudget must be positive")
 	}
-	if c.SoftMemRatio < 0 || c.SoftMemRatio >= 1 {
-		return fmt.Errorf("engine: SoftMemRatio %v outside [0, 1)", c.SoftMemRatio)
-	}
 	if c.SampleEvery <= 0 {
 		return fmt.Errorf("engine: SampleEvery must be positive")
-	}
-	if c.DurableEvery < 0 {
-		return fmt.Errorf("engine: DurableEvery must be non-negative")
-	}
-	if c.CrashAfterTicks < 0 {
-		return fmt.Errorf("engine: CrashAfterTicks must be non-negative")
-	}
-	if c.CrashAfterTicks > 0 && c.Durable == nil {
-		return fmt.Errorf("engine: CrashAfterTicks requires Durable — a crash without a store loses the run")
-	}
-	if c.Durable != nil && c.Source != nil {
-		return fmt.Errorf("engine: Durable requires the internal generator; an external Source cannot be replayed on recovery")
 	}
 	return c.Profile.Validate()
 }

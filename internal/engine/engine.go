@@ -72,25 +72,16 @@ type Engine struct {
 	// cooldown, drift and migration-cost calibration accumulate across
 	// tuning passes (a fresh controller per pass cannot provide thrash
 	// protection). Built lazily on first tuning pass; nil entries are
-	// states without a bit index. Rebuilt empty on recovery — tuner state
-	// is regenerable, like the assessor tables (see recover.go).
+	// states without a bit index.
 	ctls []*tuner.Controller
 	// tuneErr latches the first optimizer misconfiguration a tuning pass
 	// surfaced; the run continues on the current configurations.
 	tuneErr error
 
-	shedTasks       uint64 // probe tasks dropped by soft-watermark degradation
-	degradedTicks   int64  // ticks that ended over the soft watermark
-	watermarkMisses int64  // degrade passes that could not reach the soft watermark
-
 	probesPerState []uint64 // since last tuning pass, for λ_r estimation
 	lensBuf        []int
 
 	curTick int64
-
-	// durableErr latches the first durable-store failure; persistence stops
-	// there but the run continues (see DurableErr).
-	durableErr error
 
 	// allowance is the cumulative CPU capacity granted so far. Every
 	// charge — expiry, tuning, migration, queue processing — draws from
@@ -277,13 +268,7 @@ func (e *Engine) newAssessor(spec *query.StateSpec, salt uint64) (assess.Assesso
 // Run executes the workload to the horizon or until the memory cap trips,
 // returning the sampled throughput series.
 func (e *Engine) Run() *metrics.RunResult {
-	return e.runFrom(0)
-}
-
-// runFrom is Run's body, parameterized on the starting tick so Recover can
-// resume a restored engine mid-run.
-func (e *Engine) runFrom(startTick int64) *metrics.RunResult {
-	res := &metrics.RunResult{Name: e.sys.Name, End: metrics.EndCompleted, ResumedTick: startTick}
+	res := &metrics.RunResult{Name: e.sys.Name, End: metrics.EndCompleted}
 	sample := func(tick int64) {
 		used := e.meter.Used()
 		if used > res.PeakMemBytes {
@@ -296,7 +281,7 @@ func (e *Engine) runFrom(startTick int64) *metrics.RunResult {
 	}
 
 	var tick int64
-	for tick = startTick; tick < e.run.MaxTicks; tick++ {
+	for tick = 0; tick < e.run.MaxTicks; tick++ {
 		e.curTick = tick
 		// 0. Re-exploration: routes are re-learned at the start of every
 		// drift epoch, then the router settles down.
@@ -367,13 +352,7 @@ func (e *Engine) runFrom(startTick int64) *metrics.RunResult {
 			e.tuneAll()
 		}
 
-		// 5. Memory pressure: past the soft watermark, degrade gracefully
-		// (shed reconstructible work) before sampling the hard cap.
-		if e.run.SoftMemRatio > 0 && e.meter.OverRatio(e.run.SoftMemRatio) {
-			e.degrade()
-			e.degradedTicks++
-		}
-		// Sample and check the memory cap.
+		// 5. Sample and check the memory cap.
 		if tick%e.run.SampleEvery == 0 {
 			sample(tick)
 		}
@@ -381,30 +360,11 @@ func (e *Engine) runFrom(startTick int64) *metrics.RunResult {
 			res.End = metrics.EndOOM
 			break
 		}
-
-		// 6. Durability boundary: persist a checkpoint at the cadence (only
-		// when quiescent — with work still queued the states are mid-tick in
-		// a way the checkpoint cannot represent, so the boundary is skipped
-		// and recovery rolls back to the previous quiescent one), then honor
-		// a scheduled crash point.
-		if e.run.Durable != nil && (tick+1)%e.durableEvery() == 0 && e.Backlog() == 0 {
-			e.persistCheckpoint(tick)
-		}
-		if e.run.CrashAfterTicks > 0 && tick+1 == e.run.CrashAfterTicks {
-			res.End = metrics.EndCrashed
-			break
-		}
 	}
 	if tick > e.run.MaxTicks {
 		tick = e.run.MaxTicks
 	}
 	sample(tick)
-	if res.End == metrics.EndCompleted && e.degradedTicks > 0 {
-		res.End = metrics.EndDegraded
-	}
-	res.ShedTasks = e.shedTasks
-	res.DegradedTicks = e.degradedTicks
-	res.WatermarkMisses = e.watermarkMisses
 	res.EndTick = tick
 	res.TotalResults = e.results
 	res.Probes = e.probes
@@ -438,49 +398,6 @@ func (e *Engine) runFrom(startTick int64) *metrics.RunResult {
 		}
 	}
 	return res
-}
-
-// degrade sheds reconstructible memory until the resident set is back under
-// the soft watermark: assessment statistics go first (they rebuild from
-// live traffic and cost no results), then queued probe tasks, oldest first
-// (each is a materialized intermediate result — dropping one loses at most
-// the join results it would have driven, never stored data). Ingest tasks
-// are never shed: arrivals are data, not reconstructible work.
-func (e *Engine) degrade() {
-	soft := int(e.run.SoftMemRatio * float64(e.run.MemCap))
-	for _, st := range e.stems {
-		if st.Assessor != nil {
-			st.Assessor.Reset()
-		}
-	}
-	need := e.meter.Used() - soft
-	if need <= 0 {
-		return
-	}
-	freed := 0
-	live := e.queue[e.queueHead:]
-	kept := live[:0]
-	for _, t := range live {
-		if freed < need && t.comp != nil {
-			b := t.memBytes()
-			freed += b
-			e.queueBytes -= b
-			e.shedTasks++
-			continue
-		}
-		kept = append(kept, t)
-	}
-	for i := len(kept); i < len(live); i++ {
-		live[i] = task{}
-	}
-	e.queue = e.queue[:e.queueHead+len(kept)]
-	// Shedding frees reconstructible memory only; when the resident set is
-	// dominated by stored tuples, even a full sweep can leave the system
-	// over the watermark. Re-check so the miss is visible in the run
-	// metrics instead of silently reporting a successful degrade.
-	if e.meter.Used() > soft {
-		e.watermarkMisses++
-	}
 }
 
 func (e *Engine) push(t task) {
@@ -741,6 +658,3 @@ func samePatternSet(a []query.Pattern, b []query.Pattern) bool {
 
 // Results returns the cumulative join results so far (exposed for tests).
 func (e *Engine) Results() uint64 { return e.results }
-
-// Backlog returns the number of queued tasks (exposed for tests).
-func (e *Engine) Backlog() int { return len(e.queue) - e.queueHead }

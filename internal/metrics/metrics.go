@@ -22,7 +22,9 @@ type Point struct {
 	Backlog int
 }
 
-// EndReason states why a run stopped.
+// EndReason states why a run stopped. A virtual-clock run either reaches
+// its horizon or dies at the memory cap; crashes and load shedding belong to
+// the concurrent pipeline, which reports them in its own Result.
 type EndReason string
 
 const (
@@ -31,14 +33,6 @@ const (
 	// EndOOM means the simulated resident set exceeded the memory cap —
 	// the paper's "ran out of memory" terminations.
 	EndOOM EndReason = "out-of-memory"
-	// EndDegraded means the run reached its horizon but only by shedding
-	// work under memory pressure (the soft-watermark degradation path):
-	// the output is complete in time but not in content.
-	EndDegraded EndReason = "degraded"
-	// EndCrashed means a scheduled crash point killed the run at a tick
-	// boundary; the durable store holds everything needed for Recover to
-	// resume it.
-	EndCrashed EndReason = "crashed"
 )
 
 // RunResult is the full record of one system's run.
@@ -50,10 +44,6 @@ type RunResult struct {
 	// End is why and when the run stopped.
 	End     EndReason
 	EndTick int64
-	// ResumedTick is the tick a recovered run resumed at (0 for a run
-	// started from scratch). Cumulative counters (TotalResults, Retunes,
-	// Probes) continue the crashed run's; cost and latency are per-segment.
-	ResumedTick int64
 	// TotalResults is the cumulative throughput at the end.
 	TotalResults uint64
 	// PeakMemBytes is the largest sampled resident set.
@@ -75,16 +65,6 @@ type RunResult struct {
 	// CostBreakdown gives each cost category's share of CostUnits
 	// (maintain / search / assess / route) — where the CPU actually went.
 	CostBreakdown map[string]float64
-	// ShedTasks counts queued probe tasks dropped by soft-watermark
-	// degradation, and DegradedTicks the ticks that ended over the soft
-	// watermark (both zero unless SoftMemRatio is configured).
-	ShedTasks     uint64
-	DegradedTicks int64
-	// WatermarkMisses counts degrade passes that shed every
-	// reconstructible byte and still ended over the soft watermark —
-	// resident data alone exceeds it, so degradation cannot help and only
-	// the hard cap remains between the system and OOM.
-	WatermarkMisses int64
 	// Tuner aggregates the retuning controllers' what-if accounting across
 	// the run's states.
 	Tuner TunerSummary

@@ -182,6 +182,11 @@ type opCheckpoint struct {
 // ckptVersion guards the checkpoint wire format.
 const ckptVersion byte = 1
 
+// minTupleBytes is the smallest tuple.AppendTuple encoding (a tuple with no
+// attributes): the bound on how many tuples a blob of a given length can
+// hold.
+const minTupleBytes = 34
+
 func (c *opCheckpoint) encode() []byte {
 	buf := make([]byte, 0, 32+len(c.Cfg.Bits)+64*len(c.Tuples))
 	buf = append(buf, ckptVersion)
@@ -215,6 +220,11 @@ func decodeOpCheckpoint(buf []byte) (*opCheckpoint, error) {
 	}
 	ntuples := int(binary.LittleEndian.Uint32(buf[nbits : nbits+4]))
 	buf = buf[nbits+4:]
+	// Checkpoint files carry no CRC, so the count word is untrusted: bound
+	// it by what the remaining bytes can hold before reserving room for it.
+	if ntuples > len(buf)/minTupleBytes {
+		return nil, fmt.Errorf("pipeline: checkpoint claims %d tuples in %d bytes", ntuples, len(buf))
+	}
 	c.Tuples = make([]*tuple.Tuple, 0, ntuples)
 	for i := 0; i < ntuples; i++ {
 		t, rest, err := tuple.DecodeTuple(buf)

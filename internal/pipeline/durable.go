@@ -155,18 +155,19 @@ func (p *run) restoreFromStore() (int64, error) {
 	return resume, nil
 }
 
-// rebuildOperator reloads one operator's state: force the checkpoint's
-// tuned config, re-insert the checkpointed tuples, then replay the WAL
-// suffix past the checkpoint's Applied cursor through the full insert path
-// (expiry included). The epoch pointer is republished last, so a probe can
-// never observe a half-rebuilt incarnation once the run resumes.
+// rebuildOperator reloads one operator's state from the store: the
+// checkpoint's tuned config is forced onto the fresh index, then
+// rebuildLocked — the supervisor restart's routine — reloads the
+// checkpointed tuples and replays the WAL suffix past the checkpoint's
+// Applied cursor.
 func (p *run) rebuildOperator(o *operator, walTuples []*tuple.Tuple) error {
-	var ck *opCheckpoint
-	if blob, ok, err := p.store.LoadCheckpoint(o.id); err != nil {
+	ck := &opCheckpoint{Op: o.id} // no checkpoint yet: the whole WAL is the suffix
+	blob, found, err := p.store.LoadCheckpoint(o.id)
+	if err != nil {
 		return err
-	} else if ok {
-		ck, err = decodeOpCheckpoint(blob)
-		if err != nil {
+	}
+	if found {
+		if ck, err = decodeOpCheckpoint(blob); err != nil {
 			return err
 		}
 		if ck.Op != o.id {
@@ -175,39 +176,23 @@ func (p *run) rebuildOperator(o *operator, walTuples []*tuple.Tuple) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	applied := uint64(0)
-	if ck != nil {
-		applied = ck.Applied
+	if found {
 		if err := o.ix.ForceConfig(ck.Cfg); err != nil {
 			return err
 		}
-		for _, t := range ck.Tuples {
-			o.ix.Insert(t)
-			o.retained.Add(t)
-		}
-		o.checkpoint = ck.Tuples
 	}
 	// The suffix: ingest records past the checkpoint cursor. A suffix
 	// shorter than the cursor means the store lost acknowledged appends
 	// (e.g. the chaos harness's flaky store); recovery proceeds with what
 	// is there so the invariant checks can convict the store — the loss
 	// shows up as a digest/conservation violation, not a crash here.
-	suffix := walTuples[min(int(applied), len(walTuples)):]
-	for _, t := range suffix {
-		o.ix.Insert(t)
-		o.retained.Add(t)
-		o.retained.Expire(t.TS, func(old *tuple.Tuple) {
-			o.ix.Delete(old)
-		})
-	}
-	o.applied = applied + uint64(len(suffix))
+	suffix := walTuples[min(int(ck.Applied), len(walTuples)):]
+	o.rebuildLocked(o.ix, ck.Tuples, suffix)
+	o.checkpoint = ck.Tuples
+	o.applied = ck.Applied + uint64(len(suffix))
 	o.sinceCkpt = len(suffix)
 	o.tail = append([]*tuple.Tuple(nil), suffix...)
-	o.length.Store(int64(o.ix.Len()))
-	// Republish the epoch pointer: the lock-free probe path must see the
-	// rebuilt incarnation.
-	o.cur.Store(o.ix)
-	p.recovered.Add(uint64(len(suffix)) + applied)
+	p.recovered.Add(ck.Applied + uint64(len(suffix)))
 	return nil
 }
 

@@ -8,6 +8,8 @@ package pipeline
 // and off.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -329,5 +331,70 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 	if _, err := decodeOpCheckpoint(ck.encode()[:10]); err == nil {
 		t.Fatal("truncated checkpoint accepted")
+	}
+}
+
+// TestCorruptCheckpointCountIsAnError: checkpoint blobs carry no CRC (only
+// WAL frames do), so a damaged tuple-count word reaches the decoder. It
+// must come back as an error from Recover — before the bounds check the
+// count went straight to make() and 0xFFFFFFFF killed the process with an
+// unrecoverable out-of-memory fault.
+func TestCorruptCheckpointCountIsAnError(t *testing.T) {
+	st := storage.NewMemStore()
+	cfg := detConfig(1, 0, fault.Plan{CrashTicks: []int64{12}})
+	cfg.Ticks = 20
+	cfg.Durable = st
+	if res, err := Run(cfg); err != nil || !res.Crashed {
+		t.Fatalf("Run: %v (result %+v)", err, res)
+	}
+	blob, ok, err := st.LoadCheckpoint(0)
+	if err != nil || !ok {
+		t.Fatalf("operator 0 has no checkpoint to corrupt (ok=%v err=%v)", ok, err)
+	}
+	count := 15 + int(binary.LittleEndian.Uint16(blob[13:15]))
+	for _, n := range []uint32{0xFFFFFFFF, binary.LittleEndian.Uint32(blob[count:]) + 1} {
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint32(bad[count:], n)
+		if _, err := decodeOpCheckpoint(bad); err == nil {
+			t.Errorf("checkpoint claiming %d tuples in %d bytes decoded", n, len(bad))
+		}
+		if err := st.SaveCheckpoint(0, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(cfg); err == nil {
+			t.Errorf("Recover accepted a checkpoint claiming %d tuples in %d bytes", n, len(bad))
+		}
+	}
+}
+
+// TestCheckpointBytesReproducible: the same state must serialize to the same
+// bytes. A snapshot that walks the retention map in iteration order encodes
+// one state differently run to run, and a restore re-inserts in that order,
+// so bucket-internal order after a restart would be run-dependent too.
+func TestCheckpointBytesReproducible(t *testing.T) {
+	checkpoints := func() [][]byte {
+		st := storage.NewMemStore()
+		cfg := detConfig(1, 0, fault.None)
+		cfg.Ticks = 30
+		cfg.Durable = st
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		blobs := make([][]byte, 4)
+		for op := range blobs {
+			blob, ok, err := st.LoadCheckpoint(op)
+			if err != nil || !ok {
+				t.Fatalf("operator %d has no checkpoint (ok=%v err=%v)", op, ok, err)
+			}
+			blobs[op] = blob
+		}
+		return blobs
+	}
+	first, second := checkpoints(), checkpoints()
+	for op := range first {
+		if !bytes.Equal(first[op], second[op]) {
+			t.Errorf("operator %d: two identical runs wrote different checkpoint bytes (%d and %d long)",
+				op, len(first[op]), len(second[op]))
+		}
 	}
 }

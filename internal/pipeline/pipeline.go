@@ -207,8 +207,8 @@ type operator struct {
 
 	// cur is the epoch pointer the lock-free probe path reads: it always
 	// names the operator's live index incarnation, and is republished by
-	// restore after a checkpoint rebuild. Padded onto its own cache line —
-	// every probe worker loads it, so it must not share a line with mu.
+	// rebuildLocked. Padded onto its own cache line — every probe worker
+	// loads it, so it must not share a line with mu.
 	cur atomic.Pointer[core.AdaptiveIndex]
 	_   [56]byte
 
@@ -340,17 +340,31 @@ type routerObs struct {
 	stateLen int
 }
 
-// insert stores one arrival and reports whether a checkpoint is due.
-func (o *operator) insert(t *tuple.Tuple) (ckpt bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.ix.Insert(t)
+// admitLocked is the only place an arrival enters the operator's state,
+// live or replayed: index and window are maintained together — insert,
+// retain, expire→delete. Timestamp-bucket expiry with watermark slack is
+// exact under out-of-order arrivals. indexed says the partitioned ingest
+// path already ran the index insert shard-affinely on the workers; every
+// insert of its batch completed before the first admitLocked, so each
+// expiry's Delete targets are present and the (insert set − expired set)
+// comes out the same as on the serial path, just with the inserts hoisted
+// ahead of the walk. The caller holds o.mu.
+func (o *operator) admitLocked(t *tuple.Tuple, indexed bool) {
+	if !indexed {
+		o.ix.Insert(t)
+	}
 	o.retained.Add(t)
-	// Timestamp-bucket expiry with watermark slack: exact under
-	// out-of-order arrivals.
 	o.retained.Expire(t.TS, func(old *tuple.Tuple) {
 		o.ix.Delete(old)
 	})
+}
+
+// insert applies one live arrival — admitLocked plus the checkpoint and WAL
+// cursors — and reports whether a checkpoint is due.
+func (o *operator) insert(t *tuple.Tuple, indexed bool) (ckpt bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.admitLocked(t, indexed)
 	o.length.Store(int64(o.ix.Len()))
 	o.sinceCkpt++
 	o.applied++
@@ -360,28 +374,27 @@ func (o *operator) insert(t *tuple.Tuple) (ckpt bool) {
 	return o.ckptEvery > 0 && o.sinceCkpt >= o.ckptEvery
 }
 
-// applyArrival is insert's bookkeeping half for the partitioned ingest
-// path: the index insert already ran shard-affinely on the workers, so this
-// applies everything else — retention, expiry, the WAL cursor — in arrival
-// order under the operator lock. Splitting insert this way keeps the final
-// state set-identical to the serial path: every batch insert completed
-// before the first applyArrival, so each expiry's Delete targets are always
-// present, and the (insert set − expired set) the serial path computes is
-// computed here too, just with the inserts hoisted ahead of the walk.
-func (o *operator) applyArrival(t *tuple.Tuple) (ckpt bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.retained.Add(t)
-	o.retained.Expire(t.TS, func(old *tuple.Tuple) {
-		o.ix.Delete(old)
-	})
-	o.length.Store(int64(o.ix.Len()))
-	o.sinceCkpt++
-	o.applied++
-	if o.durable {
-		o.tail = append(o.tail, t)
+// rebuildLocked makes ix the operator's live incarnation, for the
+// supervisor's restart and for crash recovery alike: a snapshot's tuples are
+// reloaded as they were retained (no expiry — the snapshot is already a
+// post-expiry set), then the arrivals applied after it are replayed through
+// admitLocked, exactly re-deriving the retained set they left behind. The
+// epoch pointer is republished last, so the lock-free probe path never
+// observes a half-built incarnation: a probe that already loaded the old
+// pointer finishes against the old index, and every search sees exactly
+// one. The caller holds o.mu.
+func (o *operator) rebuildLocked(ix *core.AdaptiveIndex, snap, suffix []*tuple.Tuple) {
+	o.ix = ix
+	o.retained = o.newRetained()
+	for _, t := range snap {
+		ix.Insert(t)
+		o.retained.Add(t)
 	}
-	return o.ckptEvery > 0 && o.sinceCkpt >= o.ckptEvery
+	for _, t := range suffix {
+		o.admitLocked(t, false)
+	}
+	o.length.Store(int64(ix.Len()))
+	o.cur.Store(ix)
 }
 
 // snapshot captures the retained tuples as the new checkpoint. In durable
@@ -389,12 +402,14 @@ func (o *operator) applyArrival(t *tuple.Tuple) (ckpt bool) {
 // config, WAL cursor — for the caller to persist OUTSIDE the operator lock
 // (encode + store I/O must not stall the probe path); non-durable mode
 // returns nil. The returned tuples alias the in-memory checkpoint, which
-// is safe: tuples are immutable once created.
+// is safe: tuples are immutable once created. Tuples are captured in
+// timestamp order, so one state always encodes to the same bytes and a
+// rebuild re-inserts in the same order on every run.
 func (o *operator) snapshot() *opCheckpoint {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	snap := make([]*tuple.Tuple, 0, o.retained.Len())
-	o.retained.Each(func(t *tuple.Tuple) { snap = append(snap, t) })
+	o.retained.EachOrdered(func(t *tuple.Tuple) { snap = append(snap, t) })
 	o.checkpoint = snap
 	o.sinceCkpt = 0
 	if !o.durable {
@@ -408,46 +423,27 @@ func (o *operator) snapshot() *opCheckpoint {
 // panic, reporting how many tuples were replayed and how many (inserted
 // since that checkpoint) are gone for good. In durable mode the
 // since-checkpoint tail is replayed too, so lost is always zero — the WAL
-// vouches for those tuples, and the in-memory tail saves re-reading it.
+// vouches for those tuples, and the in-memory tail saves re-reading it. The
+// new incarnation starts from the untuned configuration with a fresh
+// controller (tuning state is advisory).
 func (o *operator) restore() (replayed, lost uint64, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.retunesBase += o.ix.Retunes()
-	o.abortsBase += o.ix.MigrationAborts()
-	o.tunerBase.Add(o.ix.TunerSummary())
 	ix, err := o.newIx()
 	if err != nil {
 		return 0, 0, err
 	}
-	o.ix = ix
-	o.retained = o.newRetained()
-	for _, t := range o.checkpoint {
-		o.ix.Insert(t)
-		o.retained.Add(t)
-	}
-	replayed = uint64(len(o.checkpoint))
-	if o.durable {
-		// Tail replay runs the full insert path (expiry included), exactly
-		// re-deriving the pre-panic retained set. sinceCkpt is unchanged:
-		// the tail is still not covered by a checkpoint.
-		for _, t := range o.tail {
-			o.ix.Insert(t)
-			o.retained.Add(t)
-			o.retained.Expire(t.TS, func(old *tuple.Tuple) {
-				o.ix.Delete(old)
-			})
-		}
-		replayed += uint64(len(o.tail))
-	} else {
+	o.retunesBase += o.ix.Retunes()
+	o.abortsBase += o.ix.MigrationAborts()
+	o.tunerBase.Add(o.ix.TunerSummary())
+	// The tail exists only in durable mode, where it is still not covered
+	// by a checkpoint after the replay, so sinceCkpt stands.
+	o.rebuildLocked(ix, o.checkpoint, o.tail)
+	if !o.durable {
 		lost = uint64(o.sinceCkpt)
 		o.sinceCkpt = 0
 	}
-	o.length.Store(int64(o.ix.Len()))
-	// Publish the new incarnation to the lock-free probe path. A probe
-	// that already loaded the old pointer finishes against the old index:
-	// every search sees exactly one incarnation, old or new.
-	o.cur.Store(o.ix)
-	return replayed, lost, nil
+	return uint64(len(o.checkpoint) + len(o.tail)), lost, nil
 }
 
 // retunes reads the state's migration count under the operator lock (the
@@ -712,12 +708,20 @@ func (p *run) handleIngest(o *operator, msg message) {
 	if msg.doPanic {
 		panic(fmt.Sprintf("pipeline: injected panic at operator %d", o.id))
 	}
-	ckptDue := o.insert(msg.ingest)
+	p.applyArrival(o, msg.ingest, false)
+}
+
+// applyArrival inserts one arrival and makes it durable, in that order, on
+// the operator's serve goroutine; the per-message and the partitioned ingest
+// paths both end here, so the store sees one record sequence whichever ran.
+// indexed is admitLocked's: the index insert already happened.
+func (p *run) applyArrival(o *operator, t *tuple.Tuple, indexed bool) {
+	ckptDue := o.insert(t, indexed)
 	if p.store != nil {
 		// One WAL record per applied arrival, appended after the insert
-		// succeeded; the append runs on the serve goroutine, outside the
-		// operator lock, so store latency never stalls the probe path.
-		p.recordStoreErr(p.store.AppendWAL(encodeIngestRecord(o.id, msg.ingest)))
+		// succeeded and outside the operator lock, so store latency never
+		// stalls the probe path.
+		p.recordStoreErr(p.store.AppendWAL(encodeIngestRecord(o.id, t)))
 	}
 	if ckptDue {
 		if ck := o.snapshot(); ck != nil {
@@ -941,21 +945,9 @@ func (p *run) ingestPartitioned(o *operator) {
 		o.insGroups[w] = o.insGroups[w][:0]
 	}
 	for i := range o.pending {
-		msg := o.pending[i]
+		t := o.pending[i].ingest
 		o.pending[i] = message{}
-		ckptDue := o.applyArrival(msg.ingest)
-		if p.store != nil {
-			p.recordStoreErr(p.store.AppendWAL(encodeIngestRecord(o.id, msg.ingest)))
-		}
-		if ckptDue {
-			if ck := o.snapshot(); ck != nil {
-				// Same discipline as handleIngest: the WAL tail becomes
-				// durable before the checkpoint that covers it publishes.
-				p.recordStoreErr(p.store.Sync())
-				p.recordStoreErr(p.store.SaveCheckpoint(ck.Op, ck.encode()))
-			}
-		}
-		p.ingested.Add(1)
+		p.applyArrival(o, t, true)
 		p.wg.Done()
 	}
 	o.pending = o.pending[:0]

@@ -107,7 +107,7 @@ func runConcurrentProbeRetune(t *testing.T, shards int) {
 	go func() {
 		defer workers.Done()
 		for _, tp := range byStream[0] {
-			op.insert(tp)
+			op.insert(tp, false)
 		}
 	}()
 	// Probers: each partner stream's arrivals probe the state with its own

@@ -176,13 +176,6 @@ func (m *MemoryMeter) OverCap() bool {
 	return m.CapBytes > 0 && m.Used() > m.CapBytes
 }
 
-// OverRatio reports whether the resident set exceeds ratio·cap — the soft
-// watermark the engine's graceful-degradation path triggers on before the
-// hard cap kills the run. Always false with no cap or a zero ratio.
-func (m *MemoryMeter) OverRatio(ratio float64) bool {
-	return m.CapBytes > 0 && ratio > 0 && float64(m.Used()) > ratio*float64(m.CapBytes)
-}
-
 // Breakdown renders the per-component sizes for diagnostics.
 func (m *MemoryMeter) Breakdown() string {
 	s := ""

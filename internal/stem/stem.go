@@ -75,11 +75,6 @@ func (s *STeM) SetSlack(slack int64) { s.retained.SetSlack(slack) }
 // Store exposes the backend (the tuner migrates it directly).
 func (s *STeM) Store() storage.Store { return s.store }
 
-// EachRetained visits the state's retained tuples in ascending timestamp
-// order — the deterministic snapshot order the durability layer encodes
-// checkpoints in.
-func (s *STeM) EachRetained(visit func(*tuple.Tuple)) { s.retained.EachOrdered(visit) }
-
 // Len returns the number of stored tuples.
 func (s *STeM) Len() int { return s.store.Len() }
 

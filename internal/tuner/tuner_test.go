@@ -2,6 +2,8 @@ package tuner
 
 import (
 	"errors"
+	"math"
+	oldrand "math/rand"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -397,53 +399,93 @@ func TestRecordAbort(t *testing.T) {
 	}
 }
 
-// Property: on random instances greedy never beats exhaustive, and stays
-// within a modest factor of it across random caps, budgets and
-// RequireFullBudget (the scan terms are supermodular enough in practice;
-// this is the A2 ablation's invariant).
+// greedyInstance expands a seed into one random tuning problem: random cost
+// parameters, caps, budget, RequireFullBudget and pattern frequencies.
+func greedyInstance(seed uint64) (numAttrs, budget int, p cost.Params, stats []cost.APStat, opt Options) {
+	rng := rand.New(rand.NewPCG(seed, seed))
+	p = cost.Params{LambdaD: 50 + float64(rng.IntN(200)), LambdaR: 10 + float64(rng.IntN(100)),
+		Ch: 0.01 + rng.Float64(), Cc: 0.1 + rng.Float64(), Window: 10 + float64(rng.IntN(100))}
+	numAttrs = 2 + rng.IntN(3)
+	budget = 2 + rng.IntN(8)
+	opt = Options{RequireFullBudget: rng.IntN(2) == 0}
+	if rng.IntN(2) == 0 {
+		// Random per-attribute caps; keep the instance satisfiable
+		// under RequireFullBudget by capping at the budget floor.
+		caps := make([]uint8, numAttrs)
+		total := 0
+		for i := range caps {
+			caps[i] = uint8(1 + rng.IntN(budget))
+			total += int(caps[i])
+		}
+		if total >= budget {
+			opt.MaxBitsPerAttr = caps
+		}
+	}
+	query.AllPatterns(numAttrs, func(ap query.Pattern) bool {
+		if ap != 0 && rng.Float64() < 0.6 {
+			stats = append(stats, cost.APStat{P: ap, Freq: rng.Float64()})
+		}
+		return true
+	})
+	return numAttrs, budget, p, stats, opt
+}
+
+// greedyVsExhaustive solves one instance both ways and checks the two
+// clauses that hold universally: each returned score is the C_D of the
+// returned configuration, and greedy never beats exhaustive. ratio is
+// greedy's C_D over exhaustive's (0 for an empty or unsatisfiable instance).
+func greedyVsExhaustive(seed uint64) (ratio float64, ok bool) {
+	numAttrs, budget, p, stats, opt := greedyInstance(seed)
+	if len(stats) == 0 {
+		return 0, true
+	}
+	g, gcd := Greedy(numAttrs, budget, p, stats, opt)
+	e, ecd, err := Exhaustive(numAttrs, budget, p, stats, opt)
+	if err != nil {
+		return 0, true
+	}
+	if cost.CD(p, g, stats) != gcd || cost.CD(p, e, stats) != ecd {
+		return 0, false // returned scores must match the returned configs
+	}
+	return gcd / ecd, gcd+1e-9 >= ecd
+}
+
+// Property: on random instances — random caps, budgets and
+// RequireFullBudget — greedy never beats exhaustive and both report the
+// C_D of what they return. The generator is seeded: under a time-seeded
+// quick.Check this test failed about one run in twenty on a third clause,
+// greedy ≤ 1.25 × exhaustive, which is false on roughly one generated
+// instance in 1500 — greedy's first-bit tie-break can open an attribute and
+// pay its fixed C_h twice where exhaustive concentrates the bits. The table
+// pins five such instances with their measured ratios, so a Greedy change
+// that closes (or widens) the gap shows up here; the A2 ablation reports
+// the typical case.
 func TestGreedyWithinBoundOfExhaustive(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed))
-		p := cost.Params{LambdaD: 50 + float64(rng.IntN(200)), LambdaR: 10 + float64(rng.IntN(100)),
-			Ch: 0.01 + rng.Float64(), Cc: 0.1 + rng.Float64(), Window: 10 + float64(rng.IntN(100))}
-		numAttrs := 2 + rng.IntN(3)
-		budget := 2 + rng.IntN(8)
-		opt := Options{RequireFullBudget: rng.IntN(2) == 0}
-		if rng.IntN(2) == 0 {
-			// Random per-attribute caps; keep the instance satisfiable
-			// under RequireFullBudget by capping at the budget floor.
-			caps := make([]uint8, numAttrs)
-			total := 0
-			for i := range caps {
-				caps[i] = uint8(1 + rng.IntN(budget))
-				total += int(caps[i])
-			}
-			if total >= budget {
-				opt.MaxBitsPerAttr = caps
-			}
-		}
-		var stats []cost.APStat
-		query.AllPatterns(numAttrs, func(ap query.Pattern) bool {
-			if ap != 0 && rng.Float64() < 0.6 {
-				stats = append(stats, cost.APStat{P: ap, Freq: rng.Float64()})
-			}
-			return true
-		})
-		if len(stats) == 0 {
-			return true
-		}
-		g, gcd := Greedy(numAttrs, budget, p, stats, opt)
-		e, ecd, err := Exhaustive(numAttrs, budget, p, stats, opt)
-		if err != nil {
-			return true
-		}
-		if cost.CD(p, g, stats) != gcd || cost.CD(p, e, stats) != ecd {
-			return false // returned scores must match the returned configs
-		}
-		return gcd+1e-9 >= ecd && gcd <= ecd*1.25+1e-9
+		_, ok := greedyVsExhaustive(seed)
+		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: oldrand.New(oldrand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		seed  uint64
+		ratio float64
+	}{
+		{"caps [2,7], one pattern: IC[2,5] against IC[0,7]", 0x808c6956f8f6384b, 1.8308},
+		{"uncapped, two attributes", 0x45e476c48ad3efab, 1.6616},
+		{"three attributes, RequireFullBudget", 0x2ad8d5c67c05bf21, 1.6166},
+		{"three attributes, caps [6,2,9]", 0x4f1759586cc63ca3, 1.6020},
+		{"barely past the old bound", 0x538c50f10eed0e46, 1.2740},
+	} {
+		ratio, ok := greedyVsExhaustive(tc.seed)
+		if !ok {
+			t.Errorf("%s (seed %#x): a universal clause failed", tc.name, tc.seed)
+		}
+		if math.Abs(ratio-tc.ratio) > 5e-5 {
+			t.Errorf("%s (seed %#x): greedy/exhaustive = %.4f, recorded %.4f", tc.name, tc.seed, ratio, tc.ratio)
+		}
 	}
 }
 

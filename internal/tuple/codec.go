@@ -12,8 +12,9 @@ import (
 //
 // — everything a checkpoint or WAL record needs to reconstruct the tuple
 // identically, including the Arrival stamp the exactly-once probe filter
-// keys on. Both the pipeline's and the engine's durability codecs frame
-// their records around this one encoding.
+// keys on. The pipeline's durability codec (the only one) frames its
+// records around this encoding, and bounds untrusted tuple counts by its
+// 34-byte minimum.
 func AppendTuple(buf []byte, t *Tuple) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Stream))
 	buf = binary.LittleEndian.AppendUint64(buf, t.Seq)

@@ -5,21 +5,19 @@
 // tuples long enough for late drivers to find their event-time matches.
 package window
 
-import (
-	"slices"
-
-	"amri/internal/tuple"
-)
+import "amri/internal/tuple"
 
 // Buckets retains tuples per logical timestamp.
 type Buckets struct {
 	window int64
 	slack  int64
 
-	byTS    map[int64][]*tuple.Tuple
-	minTS   int64
-	haveMin bool
-	count   int
+	byTS map[int64][]*tuple.Tuple
+	// minTS..maxTS spans every retained timestamp (valid once haveMin):
+	// Expire advances minTS, Add widens either end.
+	minTS, maxTS int64
+	haveMin      bool
+	count        int
 }
 
 // New builds an empty retention structure with the given window length (in
@@ -37,8 +35,11 @@ func (b *Buckets) Add(t *tuple.Tuple) {
 	b.byTS[t.TS] = append(b.byTS[t.TS], t)
 	if !b.haveMin || t.TS < b.minTS {
 		b.minTS = t.TS
-		b.haveMin = true
 	}
+	if !b.haveMin || t.TS > b.maxTS {
+		b.maxTS = t.TS
+	}
+	b.haveMin = true
 	b.count++
 }
 
@@ -66,27 +67,17 @@ func (b *Buckets) Expire(now int64, drop func(*tuple.Tuple)) int {
 	return dropped
 }
 
-// Each visits every retained tuple in unspecified order — the snapshot
-// hook checkpointing uses to capture a state's contents for replay.
-func (b *Buckets) Each(visit func(*tuple.Tuple)) {
-	for _, bucket := range b.byTS {
-		for _, t := range bucket {
-			visit(t)
-		}
-	}
-}
-
 // EachOrdered visits every retained tuple in ascending timestamp order
-// (insertion order within a timestamp) — the deterministic order durable
-// checkpoints are encoded in, where Each's map-order walk would make the
-// same state serialize differently run to run.
+// (insertion order within a timestamp) — the deterministic order
+// checkpoints are captured and encoded in; a walk in map order would make
+// the same state serialize differently run to run. Like Expire it steps
+// through the timestamp span rather than sorting keys: the span is at most
+// window + slack + arrival disorder, and a walk this small inlines into its
+// caller, so visit is a direct call per tuple instead of a closure call —
+// the operator snapshot visits a whole window every CheckpointEvery
+// inserts.
 func (b *Buckets) EachOrdered(visit func(*tuple.Tuple)) {
-	keys := make([]int64, 0, len(b.byTS))
-	for ts := range b.byTS {
-		keys = append(keys, ts)
-	}
-	slices.Sort(keys)
-	for _, ts := range keys {
+	for ts := b.minTS; ts <= b.maxTS; ts++ {
 		for _, t := range b.byTS[ts] {
 			visit(t)
 		}

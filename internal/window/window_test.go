@@ -110,3 +110,42 @@ func TestExpiryExactness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: whatever was added (in any order, late arrivals below an
+// already-advanced minimum included) and expired, EachOrdered visits exactly
+// the retained tuples, ascending by timestamp and in insertion order within
+// one — the order checkpoints are written in.
+func TestEachOrderedVisitsRetainedInTimestampOrder(t *testing.T) {
+	f := func(tss, late []uint8, now8 uint8) bool {
+		b := New(10, 2)
+		seq := uint64(0)
+		add := func(ts uint8) {
+			b.Add(tuple.New(0, seq, int64(ts), nil))
+			seq++
+		}
+		for _, ts := range tss {
+			add(ts)
+		}
+		b.Expire(int64(now8), func(*tuple.Tuple) {})
+		for _, ts := range late {
+			add(ts)
+		}
+		var got []*tuple.Tuple
+		b.EachOrdered(func(x *tuple.Tuple) { got = append(got, x) })
+		if len(got) != b.Len() {
+			return false
+		}
+		for i := 1; i < len(got); i++ {
+			p, q := got[i-1], got[i]
+			if p.TS > q.TS || (p.TS == q.TS && p.Seq >= q.Seq) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	empty := New(10, 0)
+	empty.EachOrdered(func(*tuple.Tuple) { t.Fatal("empty buckets visited a tuple") })
+}
