@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"amri/internal/query"
@@ -21,14 +22,25 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process edges injected: it parses args, writes the
+// workload CSV to stdout and returns the exit status — 0 on success, 1 on a
+// bad profile or a failed write, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("amrigen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ticks   = flag.Int64("ticks", 60, "number of ticks to generate")
-		seed    = flag.Uint64("seed", 1, "workload seed")
-		profile = flag.String("profile", "drift", "workload profile: drift, stable or skewed")
-		rate    = flag.Int("rate", 0, "override tuples per stream per tick (0 = profile default)")
-		window  = flag.Int64("window", 60, "query window length in ticks")
+		ticks   = fs.Int64("ticks", 60, "number of ticks to generate")
+		seed    = fs.Uint64("seed", 1, "workload seed")
+		profile = fs.String("profile", "drift", "workload profile: drift, stable or skewed")
+		rate    = fs.Int("rate", 0, "override tuples per stream per tick (0 = profile default)")
+		window  = fs.Int64("window", 60, "query window length in ticks")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var prof stream.Profile
 	switch *profile {
@@ -39,8 +51,8 @@ func main() {
 	case "skewed":
 		prof = stream.SkewedProfile()
 	default:
-		fmt.Fprintf(os.Stderr, "amrigen: unknown profile %q\n", *profile)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "amrigen: unknown profile %q\n", *profile)
+		return 2
 	}
 	if *rate > 0 {
 		prof.LambdaD = *rate
@@ -49,12 +61,11 @@ func main() {
 	q := query.FourWay(*window)
 	gen, err := stream.New(q, prof, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrigen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "amrigen:", err)
+		return 1
 	}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
+	w := bufio.NewWriter(stdout)
 	fmt.Fprintln(w, "tick,stream,seq,attr0,attr1,attr2")
 	for tick := int64(0); tick < *ticks; tick++ {
 		for _, t := range gen.Tick(tick) {
@@ -65,4 +76,9 @@ func main() {
 			fmt.Fprintln(w)
 		}
 	}
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(stderr, "amrigen:", err)
+		return 1
+	}
+	return 0
 }

@@ -142,7 +142,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // replayRepro re-runs a scenario emitted by cmd/amrichaos and reports
 // whether the recorded failure still reproduces. Exit status: 0 if every
-// invariant now holds, 1 if the repro still fails.
+// invariant now holds, 1 if the repro still fails, 2 if the file is not a
+// valid scenario.
 func replayRepro(path string, stdout, stderr io.Writer) int {
 	sc, err := chaos.LoadRepro(path)
 	if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -55,6 +57,35 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: usage error still printed results: %s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestReplayInvalidScenarioExitsTwo: a repro file that is not a runnable
+// scenario is a usage error — exit 2 with the reason, no replay and no
+// verdict. A bad shard count used to be reported as a durability failure
+// (exit 1), and an out-of-range plan ran and printed PASS.
+func TestReplayInvalidScenarioExitsTwo(t *testing.T) {
+	for _, tc := range []struct {
+		json, stderr string
+	}{
+		{`{"seed":2,"ticks":2,"workers":1,"shards":3,"plan":{"seed":2}}`, "shards 3 must be 0 or a power of two"},
+		{`{"seed":2,"ticks":2,"workers":1,"plan":{"seed":2,"panic_rate":7,"crash_ticks":[-5]}}`, "PanicRate 7 outside [0, 1]"},
+		{`{"seed":2,"ticks":2,"workers":1,"plan":{"seed":2,"delay_ns":-5}}`, "negative duration"},
+	} {
+		path := filepath.Join(t.TempDir(), "repro.json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-replay", path}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit status %d, want 2", tc.json, code)
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: stderr %q does not mention %q", tc.json, stderr.String(), tc.stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: an invalid scenario still replayed: %s", tc.json, stdout.String())
 		}
 	}
 }

@@ -55,7 +55,7 @@ func tagField(i int, h uint64, w uint) uint64 {
 // placeTuple computes, in one pass over the IC fields, the bucket id of t
 // under (cfg, lay) and the entry to store there. hashes counts the fields
 // the configuration indexes — exactly what BucketID charges; hashing a
-// zero-bit field for its tag bits is uncharged bookkeeping, like ShardOf.
+// zero-bit field for its tag bits is uncharged bookkeeping.
 func placeTuple(h Hasher, attrMap []int, cfg Config, lay layout, t *tuple.Tuple) (id uint64, e entry, hashes int) {
 	w := tagWidth(len(attrMap))
 	e.t = t

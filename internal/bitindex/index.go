@@ -403,116 +403,6 @@ func (pl *shardPlan) spread(c uint64) uint64 {
 	return id
 }
 
-func scanBucket(b []entry, st *Stats, visit func(*tuple.Tuple) bool) bool {
-	for _, e := range b {
-		st.Tuples++
-		if !visit(e.t) {
-			return false
-		}
-	}
-	return true
-}
-
-// probeShardDir scans one shard's directory under an already-held shard
-// lock. The enumerate-versus-masked-iteration decision is made per shard
-// against that shard's occupancy: masked iteration over a sparse shard's
-// occupied buckets beats id enumeration once the wildcard span exceeds
-// their number. Returns false when the visitor stopped early.
-func probeShardDir(d directory, e epoch, pl *shardPlan, st *Stats, visit func(*tuple.Tuple) bool) bool {
-	localBase := pl.base & e.localMask()
-	enumerate := true
-	if _, sparse := d.(*sparseDir); sparse {
-		if pl.wildBits >= 63 || (1<<uint(pl.wildBits)) > uint64(d.occupied()) {
-			enumerate = false
-		}
-	}
-	if enumerate {
-		span := uint64(1) << uint(pl.wildBits)
-		for c := uint64(0); c < span; c++ {
-			id := localBase | pl.spread(c)
-			st.Buckets++
-			if !scanBucket(d.bucket(id), st, visit) {
-				return false
-			}
-		}
-		return true
-	}
-	lmask := pl.mask & e.localMask()
-	want := localBase & lmask
-	ok := true
-	d.forEach(func(id uint64, b []entry) bool {
-		st.DirScans++
-		if id&lmask != want {
-			return true
-		}
-		st.Buckets++
-		if !scanBucket(b, st, visit) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// Search visits every tuple stored in the buckets the access pattern
-// addresses, fanning out over the shards whose high bits are consistent
-// with the constrained attributes. vals[i] supplies the search value for IC
-// field i and is read only when p constrains attribute i. The visit
-// callback returns false to stop early. Visited tuples are bucket
-// candidates: the caller still applies the join predicates (a bucket can
-// contain non-matching tuples whenever an attribute has fewer bits than its
-// value space). Per-shard counters are merged into the returned Stats; hash
-// computations are charged once per constrained attribute for the whole
-// operation, even mid-migration when both the old and the new directories
-// are probed.
-//
-//amrivet:hotpath bucket-span scan with per-shard fan-out, the innermost visit-based probe loop
-func (ix *Index) Search(p query.Pattern, vals []tuple.Value, visit func(*tuple.Tuple) bool) Stats {
-	var st Stats
-	var hm hashMemo
-	var pl shardPlan
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	// During an incremental migration not-yet-moved tuples live in the old
-	// shards: probe them first, with the old epoch's geometry.
-	if m := ix.mig; m != nil {
-		buildShardPlan(m.old, ix.hasher, &hm, p, vals, &st, &pl)
-		hiMask := pl.mask &^ m.old.localMask()
-		hiWant := pl.base & hiMask
-		for k := 0; k < m.old.n; k++ {
-			if (uint64(k)<<m.old.localBits)&hiMask != hiWant {
-				continue
-			}
-			os := &m.shards[k]
-			//amrivet:lockhold old-shard read lock nests inside the epoch read lock by design: probes scan a draining migration's slices one stripe at a time (lock DAG, DESIGN.md §10)
-			os.mu.RLock()
-			cont := probeShardDir(os.dir, m.old, &pl, &st, visit)
-			os.mu.RUnlock()
-			if !cont {
-				return st
-			}
-		}
-	}
-	buildShardPlan(ix.live, ix.hasher, &hm, p, vals, &st, &pl)
-	hiMask := pl.mask &^ ix.live.localMask()
-	hiWant := pl.base & hiMask
-	for k := 0; k < ix.live.n; k++ {
-		if (uint64(k)<<ix.live.localBits)&hiMask != hiWant {
-			continue
-		}
-		sh := &ix.shards[k]
-		//amrivet:lockhold stripe read lock nests inside the epoch read lock by design: concurrent probes of disjoint stripes proceed in parallel (lock DAG, DESIGN.md §10)
-		sh.mu.RLock()
-		cont := probeShardDir(sh.dir, ix.live, &pl, &st, visit)
-		sh.mu.RUnlock()
-		if !cont {
-			return st
-		}
-	}
-	return st
-}
-
 // bucketIDs lists d's occupied bucket ids in ascending order. Everything
 // that moves tuples between directories walks them in this order, never in
 // a sparse directory's map iteration order: which tuples a bounded drain
@@ -770,7 +660,12 @@ func (ix *Index) Scan(visit func(*tuple.Tuple) bool) Stats {
 		ok := true
 		d.forEach(func(_ uint64, b []entry) bool {
 			st.Buckets++
-			ok = scanBucket(b, &st, visit)
+			for _, e := range b {
+				st.Tuples++
+				if ok = visit(e.t); !ok {
+					break
+				}
+			}
 			return ok
 		})
 		return ok

@@ -1,20 +1,20 @@
 package bitindex
 
 import (
+	"sync"
+
 	"amri/internal/query"
 	"amri/internal/tuple"
 )
 
-// This file implements the match-collecting probe fast path. Search visits
-// candidates through a per-tuple callback, which the hot probe loop pays
-// for twice: an indirect call per candidate and a closure environment the
-// caller must allocate or keep live. SearchMatch instead takes a Matcher —
-// the standard stream-join candidate filter (exactly-once driver stamp,
-// event-time window, join-attribute equality) — and applies it inline while
-// scanning, appending survivors to a caller-owned slice. Stats accounting
-// is identical to Search, entry for entry: both paths charge the same
-// hashes, enumerate the same bucket ids and scan the same candidates, so
-// the cost model and its tests see no difference.
+// This file implements the probe: the one enumeration of the buckets an
+// access pattern addresses. SearchMatch takes a Matcher — the standard
+// stream-join candidate filter (exactly-once driver stamp, event-time
+// window, join-attribute equality) — and applies it inline while scanning,
+// appending survivors to a caller-owned slice: no indirect call per
+// candidate and no closure environment for the hot probe loop to keep live.
+// The visit-based Search is its client with a Matcher that accepts every
+// candidate, so both charge the same Stats by construction.
 
 // Matcher is the inline candidate filter of one probe. Zero Driver disables
 // the driver-stamp and window tests (a probe with no driver context); the
@@ -115,7 +115,8 @@ type probeFilter struct {
 // The pair must come from the Matcher, not from the access pattern: the
 // pattern only selects buckets, and a Matcher with fewer equalities than
 // the pattern has constrained attributes accepts candidates the pattern's
-// values would reject. The hashes are uncharged bookkeeping, like ShardOf.
+// values would reject. The hashes are uncharged bookkeeping: they select no
+// bucket, and the cost model prices the probe by its Stats.
 func newProbeFilter(h Hasher, attrMap []int, m *Matcher) probeFilter {
 	f := probeFilter{m: m}
 	w := tagWidth(len(attrMap))
@@ -130,11 +131,11 @@ func newProbeFilter(h Hasher, attrMap []int, m *Matcher) probeFilter {
 	return f
 }
 
-// scanBucketMatch is scanBucket with the filter applied inline: same
-// Stats.Tuples accounting (every candidate is charged, bulk-added up
-// front), no per-candidate indirect call. The tag test runs on the bucket's
-// own memory; only its survivors — a superset of the Matcher's — are
-// dereferenced and put through the full Matcher.
+// scanBucketMatch scans one bucket with the filter applied inline: every
+// candidate is charged to Stats.Tuples (bulk-added up front), with no
+// per-candidate indirect call. The tag test runs on the bucket's own memory;
+// only its survivors — a superset of the Matcher's — are dereferenced and
+// put through the full Matcher.
 func scanBucketMatch(b []entry, st *Stats, f *probeFilter, out []*tuple.Tuple) []*tuple.Tuple {
 	st.Tuples += len(b)
 	want, mask, m := f.want, f.mask, f.m
@@ -183,13 +184,15 @@ func searchMatchMasked(d directory, mask, base uint64, f probeFilter, out []*tup
 	return st, out
 }
 
-// probeShardDirMatch is probeShardDir with the Matcher applied inline. ids,
-// when non-nil, is the epoch's pre-enumerated local bucket-id list (base
-// bits included) — the enumeration is identical for every shard of one
-// epoch, so the caller computes it once and each shard only tests occupancy
-// and scans. A nil ids enumerates per shard (migration's old epoch, or a
-// span too wide to materialize). Stats accounting matches probeShardDir
-// entry for entry.
+// probeShardDirMatch scans one shard's directory under an already-held
+// shard lock. The enumerate-versus-masked-iteration decision is made per
+// shard against that shard's occupancy: masked iteration over a sparse
+// shard's occupied buckets beats id enumeration once the wildcard span
+// exceeds their number. ids, when non-nil, is the epoch's pre-enumerated
+// local bucket-id list (base bits included) — the enumeration is identical
+// for every shard of one epoch, so the caller computes it once and each
+// shard only tests occupancy and scans. A nil ids enumerates per shard
+// (migration's old epoch, or a span too wide to materialize).
 func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *Stats, f *probeFilter, out []*tuple.Tuple) []*tuple.Tuple {
 	enumerate := true
 	if _, sparse := d.(*sparseDir); sparse {
@@ -245,14 +248,18 @@ func probeShardDirMatch(d directory, e epoch, pl *shardPlan, ids []uint64, st *S
 	return out
 }
 
-// SearchMatch is Search with the candidate filter applied inline: it scans
-// the buckets the access pattern addresses, appends the tuples accepted by
-// the Matcher to out, and returns the (Search-identical) work stats plus
-// the extended slice. out's backing array is reused; pass out[:0] of a
-// caller-owned scratch slice. The wildcard enumeration is computed once per
-// epoch instead of once per shard (every shard of an epoch enumerates the
-// same local ids — only the high shard-selecting bits differ, and those
-// pick which shards are visited, not which local buckets).
+// SearchMatch scans the buckets the access pattern addresses, fanning out
+// over the shards whose high bits are consistent with the constrained
+// attributes, appends the tuples accepted by the Matcher to out, and returns
+// the work stats plus the extended slice. vals[i] supplies the search value
+// for IC field i and is read only when p constrains attribute i. out's
+// backing array is reused; pass out[:0] of a caller-owned scratch slice.
+// Hash computations are charged once per constrained attribute for the
+// whole operation, even mid-migration when both the old and the new
+// directories are probed (old first). The wildcard enumeration is computed
+// once per epoch instead of once per shard (every shard of an epoch
+// enumerates the same local ids — only the high shard-selecting bits differ,
+// and those pick which shards are visited, not which local buckets).
 //
 //amrivet:hotpath match-collecting scan with per-shard fan-out, the innermost per-probe loop
 func (ix *Index) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matcher, ss *SearchScratch, out []*tuple.Tuple) (Stats, []*tuple.Tuple) {
@@ -315,14 +322,37 @@ func (ix *Index) SearchMatch(p query.Pattern, vals []tuple.Value, m *Matcher, ss
 	return st, out
 }
 
-// ShardOf returns the live-epoch shard the tuple's bucket id routes to —
-// the partition key for shard-affine batched inserts. The hash work is not
-// charged to any Stats: partition routing is dispatch bookkeeping, and the
-// insert itself pays the modeled maintenance cost.
-func (ix *Index) ShardOf(t *tuple.Tuple) int {
-	var st Stats
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	id := shardBucketID(ix.hasher, ix.attrMap, ix.live, t, &st)
-	return ix.live.shardOf(id)
+// searchBuf is what one Search call borrows from searchBufs.
+type searchBuf struct {
+	ss  SearchScratch
+	out []*tuple.Tuple
+}
+
+var searchBufs = sync.Pool{New: func() any { return new(searchBuf) }}
+
+// acceptAll is the Matcher that rejects nothing. It is never written.
+var acceptAll Matcher
+
+// Search visits every tuple stored in the buckets the access pattern
+// addresses: SearchMatch with a Matcher that accepts every candidate, then
+// visit over what it collected, in order — old shards before live ones,
+// each bucket whole and in stored order. Visited tuples are bucket
+// candidates: the caller still applies the join predicates (a bucket holds
+// non-matching tuples whenever an attribute has fewer bits than its value
+// space). visit returns false to stop early and is not called again; it runs
+// after the scan, with no index lock held, so the returned Stats are
+// SearchMatch's and cover the whole addressed span even on an early stop.
+//
+//amrivet:hotpath visit-based probe entry point of the virtual-clock stores
+func (ix *Index) Search(p query.Pattern, vals []tuple.Value, visit func(*tuple.Tuple) bool) Stats {
+	buf := searchBufs.Get().(*searchBuf)
+	st, out := ix.SearchMatch(p, vals, &acceptAll, &buf.ss, buf.out[:0])
+	for _, t := range out {
+		if !visit(t) {
+			break
+		}
+	}
+	buf.out = out
+	searchBufs.Put(buf)
+	return st
 }

@@ -223,3 +223,183 @@ func TestDenseDirOccupancyBitmap(t *testing.T) {
 		}
 	}
 }
+
+// located is where the directories hold one tuple: the generation (0 = a
+// draining migration's old shards, 1 = live), the shard, the local bucket
+// id, the position inside the bucket and the bucket's length.
+type located struct {
+	epoch, shard int
+	id           uint64
+	pos, n       int
+}
+
+// locate maps every stored tuple to its slot by walking the directories
+// directly, not through any probe path.
+func locate(ix *Index) map[*tuple.Tuple]located {
+	loc := make(map[*tuple.Tuple]located)
+	walk := func(epoch, shard int, d directory) {
+		d.forEach(func(id uint64, b []entry) bool {
+			for pos, e := range b {
+				loc[e.t] = located{epoch: epoch, shard: shard, id: id, pos: pos, n: len(b)}
+			}
+			return true
+		})
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if m := ix.mig; m != nil {
+		for k := range m.shards {
+			walk(0, k, m.shards[k].dir)
+		}
+	}
+	for k := 0; k < ix.live.n; k++ {
+		walk(1, k, ix.shards[k].dir)
+	}
+	return loc
+}
+
+// TestSearchContract pins what the visit-based Search promises its callers,
+// for the index New builds and for 8 stripes, dense and sparse, idle and
+// mid-drain:
+//
+//   - candidates arrive a draining migration's old shards first, then the
+//     live ones, shard by shard, each addressed bucket whole and in its
+//     stored order;
+//   - once visit returns false it is not called again;
+//   - Stats equal SearchMatch's for the same probe, and cover the whole
+//     addressed span whether or not the visitor stopped early.
+func TestSearchContract(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		shards     int // 0: New
+		denseLimit int
+	}{
+		{"new/dense", 0, DefaultDenseLimit},
+		{"new/sparse", 0, 0},
+		{"8/dense", 8, DefaultDenseLimit},
+		{"8/sparse", 8, 0},
+	} {
+		for _, draining := range []bool{false, true} {
+			name := tc.name + "/idle"
+			if draining {
+				name = tc.name + "/draining"
+			}
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(11, uint64(tc.shards)))
+				attrMap := []int{0, 1, 2}
+				cfg := NewConfig(3, 3, 3)
+				ix := mustNew(t, cfg, attrMap, nil, WithDenseLimit(tc.denseLimit))
+				if tc.shards > 0 {
+					ix = mustNewSharded(t, cfg, attrMap, nil, tc.shards, WithDenseLimit(tc.denseLimit))
+				}
+				seq := uint64(0)
+				insert := func(n int) {
+					for i := 0; i < n; i++ {
+						seq++
+						ix.Insert(tuple.New(0, seq, 0, []tuple.Value{
+							tuple.Value(rng.Uint64N(8)), tuple.Value(rng.Uint64N(8)), tuple.Value(rng.Uint64N(8))}))
+					}
+				}
+				insert(300)
+				if draining {
+					if err := ix.StartMigration(NewConfig(2, 4, 3)); err != nil {
+						t.Fatal(err)
+					}
+					ix.MigrateStep(40)
+					insert(50)
+					if !ix.Migrating() {
+						t.Fatal("migration drained before the probes; the case tests nothing")
+					}
+				}
+				loc := locate(ix)
+				dense := tc.denseLimit > 0
+				var ss SearchScratch
+				for pat := query.Pattern(0); pat < 8; pat++ {
+					vals := []tuple.Value{tuple.Value(rng.Uint64N(8)), tuple.Value(rng.Uint64N(8)), tuple.Value(rng.Uint64N(8))}
+					var got []*tuple.Tuple
+					full := ix.Search(pat, vals, func(x *tuple.Tuple) bool {
+						got = append(got, x)
+						return true
+					})
+					checkVisitOrder(t, pat, got, loc)
+
+					st, out := ix.SearchMatch(pat, vals, &Matcher{}, &ss, nil)
+					if st != full {
+						t.Fatalf("pattern %v: Search charges %+v, SearchMatch %+v", pat, full, st)
+					}
+					if len(out) != len(got) {
+						t.Fatalf("pattern %v: Search visited %d candidates, SearchMatch collected %d", pat, len(got), len(out))
+					}
+					// A dense directory is enumerated, so two probes meet its
+					// buckets in one order; a masked scan of a sparse one
+					// follows the map's iteration order.
+					for i := range out {
+						if dense && out[i] != got[i] {
+							t.Fatalf("pattern %v: candidate %d is seq %d by Search, seq %d by SearchMatch", pat, i, got[i].Seq, out[i].Seq)
+						}
+					}
+
+					for _, stopAt := range []int{1, len(got) / 2, len(got)} {
+						if stopAt == 0 || stopAt > len(got) {
+							continue
+						}
+						calls := 0
+						stopped := ix.Search(pat, vals, func(x *tuple.Tuple) bool {
+							if dense && x != got[calls] {
+								t.Errorf("pattern %v: stopping visitor met seq %d at position %d, want seq %d", pat, x.Seq, calls, got[calls].Seq)
+							}
+							calls++
+							return calls < stopAt
+						})
+						if calls != stopAt {
+							t.Fatalf("pattern %v: visit called %d times after returning false at call %d", pat, calls, stopAt)
+						}
+						if stopped != full {
+							t.Fatalf("pattern %v: Search stopped at candidate %d charges %+v, the whole span costs %+v", pat, stopAt, stopped, full)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// checkVisitOrder asserts the order clause of TestSearchContract against the
+// slots locate found: generations and shards never go backwards, and every
+// visited bucket is delivered whole, contiguously, in stored order.
+func checkVisitOrder(t *testing.T, pat query.Pattern, got []*tuple.Tuple, loc map[*tuple.Tuple]located) {
+	t.Helper()
+	type bucketKey struct {
+		epoch, shard int
+		id           uint64
+	}
+	done := make(map[bucketKey]bool)
+	var prev located
+	for i, x := range got {
+		at, ok := loc[x]
+		if !ok {
+			t.Fatalf("pattern %v: visited seq %d, which no directory holds", pat, x.Seq)
+		}
+		key := bucketKey{at.epoch, at.shard, at.id}
+		switch {
+		case i > 0 && key == (bucketKey{prev.epoch, prev.shard, prev.id}):
+			if at.pos != prev.pos+1 {
+				t.Fatalf("pattern %v: bucket %+v visited out of stored order (%d after %d)", pat, key, at.pos, prev.pos)
+			}
+		case done[key]:
+			t.Fatalf("pattern %v: bucket %+v visited in two pieces", pat, key)
+		case at.pos != 0:
+			t.Fatalf("pattern %v: bucket %+v entered at position %d", pat, key, at.pos)
+		case i > 0 && prev.pos != prev.n-1:
+			t.Fatalf("pattern %v: bucket left at position %d of %d", pat, prev.pos, prev.n)
+		case i > 0 && (prev.epoch > at.epoch || (prev.epoch == at.epoch && prev.shard > at.shard)):
+			t.Fatalf("pattern %v: candidate %d (generation %d, shard %d) follows generation %d, shard %d",
+				pat, i, at.epoch, at.shard, prev.epoch, prev.shard)
+		}
+		done[key] = true
+		prev = at
+	}
+	if len(got) > 0 && prev.pos != prev.n-1 {
+		t.Fatalf("pattern %v: last bucket left at position %d of %d", pat, prev.pos, prev.n)
+	}
+}

@@ -270,15 +270,43 @@ func WriteRepro(path string, sc Scenario) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadRepro reads a scenario repro file.
+// LoadRepro reads and validates a scenario repro file.
 func LoadRepro(path string) (Scenario, error) {
-	var sc Scenario
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return sc, err
+		return Scenario{}, err
 	}
+	sc, err := parseRepro(data)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("chaos: repro %s: %w", path, err)
+	}
+	return sc, nil
+}
+
+// parseRepro decodes a repro and refuses one that is not a runnable
+// scenario, so a typo in a hand-edited file is a usage error at load time —
+// not a "durability violation" when the pipeline rejects the configuration
+// mid-exploration, and not a PASS for a plan that meant something else.
+// Zero knobs are withDefaults' to fill.
+func parseRepro(data []byte) (Scenario, error) {
+	var sc Scenario
 	if err := json.Unmarshal(data, &sc); err != nil {
-		return sc, fmt.Errorf("chaos: parse repro %s: %w", path, err)
+		return Scenario{}, err
+	}
+	switch {
+	case sc.Ticks < 0:
+		return Scenario{}, fmt.Errorf("ticks %d is negative", sc.Ticks)
+	case sc.Workers < 0:
+		return Scenario{}, fmt.Errorf("workers %d is negative", sc.Workers)
+	case sc.Shards < 0 || sc.Shards > 256 || sc.Shards&(sc.Shards-1) != 0:
+		return Scenario{}, fmt.Errorf("shards %d must be 0 or a power of two in [1, 256]", sc.Shards)
+	case sc.MailboxCap < 0:
+		return Scenario{}, fmt.Errorf("mailbox_cap %d is negative", sc.MailboxCap)
+	case sc.FlakeEvery < 0:
+		return Scenario{}, fmt.Errorf("flake_every %d is negative", sc.FlakeEvery)
+	}
+	if err := sc.Plan.Validate(); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
 }

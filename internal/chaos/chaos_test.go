@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -131,4 +132,58 @@ func TestReproRoundTrip(t *testing.T) {
 	if _, err := LoadRepro(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("loading a missing repro succeeded")
 	}
+}
+
+// TestLoadReproRefusesInvalidScenario: a repro that is not a runnable
+// scenario is refused when it is loaded. Before, a bad shard count surfaced
+// as a "durability violation" from inside Explore, and an out-of-range rate
+// or a negative crash tick ran and printed PASS.
+func TestLoadReproRefusesInvalidScenario(t *testing.T) {
+	for _, tc := range []struct {
+		json, want string
+	}{
+		{`{"seed":1,"shards":3,"plan":{"seed":1}}`, "shards 3 must be 0 or a power of two"},
+		{`{"seed":1,"ticks":-4,"plan":{"seed":1}}`, "ticks -4 is negative"},
+		{`{"seed":1,"workers":-1,"plan":{"seed":1}}`, "workers -1 is negative"},
+		{`{"seed":1,"flake_every":-2,"plan":{"seed":1}}`, "flake_every -2 is negative"},
+		{`{"seed":1,"plan":{"seed":1,"panic_rate":7,"crash_ticks":[-5]}}`, "PanicRate 7 outside [0, 1]"},
+		{`{"seed":1,"plan":{"seed":1,"delay_ns":-5}}`, "negative duration"},
+		{`{"seed":1,"plan":{"seed":1,"crash_ticks":[9,5]}}`, "CrashTicks must be ascending"},
+		{`{"seed":`, "unexpected end of JSON input"},
+	} {
+		path := filepath.Join(t.TempDir(), "repro.json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadRepro(path)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LoadRepro(%s) = %v, want an error mentioning %q", tc.json, err, tc.want)
+		}
+	}
+}
+
+// FuzzLoadRepro: arbitrary bytes are refused, or decode to a scenario whose
+// knobs are in range and whose plan Validate accepts — nothing in between
+// reaches Explore. Seeded from the committed repro.
+func FuzzLoadRepro(f *testing.F) {
+	committed, err := os.ReadFile(filepath.Join("..", "..", "chaos-repro.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committed)
+	f.Add([]byte(`{"seed":1,"ticks":9,"workers":2,"shards":8,"plan":{"seed":1,"panic_rate":0.5,"delay_ns":10,"crash_ticks":[1,4]}}`))
+	f.Add([]byte(`{"shards":3,"plan":{"panic_rate":7,"crash_ticks":[-5]}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := parseRepro(data)
+		if err != nil {
+			return
+		}
+		if err := sc.Plan.Validate(); err != nil {
+			t.Fatalf("accepted a scenario whose plan is invalid: %v", err)
+		}
+		if sc.Ticks < 0 || sc.Workers < 0 || sc.MailboxCap < 0 || sc.FlakeEvery < 0 ||
+			sc.Shards < 0 || sc.Shards > 256 || sc.Shards&(sc.Shards-1) != 0 {
+			t.Fatalf("accepted an out-of-range scenario: %+v", sc)
+		}
+	})
 }

@@ -190,10 +190,10 @@ type AdaptiveIndex struct {
 	// never called with mu held.
 	ctl *tuner.Controller
 
-	// inserts is atomic (not mu-guarded) so concurrent shard-affine insert
-	// workers never serialize on the statistics mutex. Padded onto its own
-	// cache line: insert workers increment it while probe workers take mu,
-	// and sharing the line would ping-pong it between cores.
+	// inserts is atomic (not mu-guarded) so the insert path never takes the
+	// statistics mutex. Padded onto its own cache line: the state's ingest
+	// goroutine increments it while probe workers take mu, and sharing the
+	// line would ping-pong it between cores.
 	inserts atomic.Uint64
 	_       [64]byte
 
@@ -289,18 +289,10 @@ func (a *AdaptiveIndex) Delete(t *tuple.Tuple) (bitindex.Stats, bool) {
 //
 //amrivet:hotpath per-probe adaptive search entry point
 func (a *AdaptiveIndex) Search(p query.Pattern, vals []tuple.Value, visit func(*tuple.Tuple) bool) bitindex.Stats {
-	a.mu.Lock()
-	a.asr.Observe(p)
-	a.requests++
-	a.sinceTune++
-	due := a.opts.AutoTuneEvery > 0 && a.sinceTune >= a.opts.AutoTuneEvery && !a.tuning
-	if due {
-		a.tuning = true
-	}
-	a.mu.Unlock()
+	due := a.ObserveSearches(p, 1)
 	st := a.ix.Search(p, vals, visit)
 	if due {
-		a.tunePass()
+		a.TuneClaimed()
 	}
 	return st
 }
@@ -349,10 +341,6 @@ func (a *AdaptiveIndex) ObserveSearches(p query.Pattern, n uint64) (due bool) {
 func (a *AdaptiveIndex) TuneClaimed() (migrated bool, active bitindex.Config) {
 	return a.tunePass()
 }
-
-// ShardOf returns the shard the tuple's bucket id routes to — the partition
-// key for shard-affine ingest batching.
-func (a *AdaptiveIndex) ShardOf(t *tuple.Tuple) int { return a.ix.ShardOf(t) }
 
 // Tune runs one assessment + index-selection pass, migrating the index when
 // the modelled improvement clears the hysteresis. It reports whether a
@@ -566,11 +554,4 @@ func (a *AdaptiveIndex) String() string {
 	a.mu.Unlock()
 	return fmt.Sprintf("AMRI{%v, %s, %d tuples, %d retunes}",
 		a.ix.Config(), name, a.ix.Len(), retunes)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -111,6 +111,12 @@ func New(run RunConfig, sys System) (*Engine, error) {
 			return nil, err
 		}
 		gen, src = g, g
+	} else if v, ok := src.(interface{ Validate(*query.Query) error }); ok {
+		// A recorded workload was not generated from q: check it fits
+		// before a row indexes past the operators or a tuple's attributes.
+		if err := v.Validate(q); err != nil {
+			return nil, err
+		}
 	}
 	e := &Engine{
 		run:            run,
@@ -360,9 +366,6 @@ func (e *Engine) Run() *metrics.RunResult {
 			res.End = metrics.EndOOM
 			break
 		}
-	}
-	if tick > e.run.MaxTicks {
-		tick = e.run.MaxTicks
 	}
 	sample(tick)
 	res.EndTick = tick

@@ -103,6 +103,38 @@ type Plan struct {
 	CrashTicks []int64 `json:"crash_ticks,omitempty"`
 }
 
+// Validate reports the first way the plan is not a fault schedule: a rate
+// outside [0, 1] (NaN included), a negative duration, or crash ticks that are
+// negative or not ascending. It is the one check every entry point shares —
+// pipeline.Run for a Plan built in code, chaos.LoadRepro for one read from a
+// file — so a malformed plan is a usage error, never a run that quietly
+// injects something else.
+func (p Plan) Validate() error {
+	for _, r := range []struct {
+		name string
+		rate float64
+	}{
+		{"PanicRate", p.PanicRate}, {"SaturateRate", p.SaturateRate}, {"DelayRate", p.DelayRate},
+		{"AbortRate", p.AbortRate}, {"PressureRate", p.PressureRate},
+	} {
+		if !(r.rate >= 0 && r.rate <= 1) {
+			return fmt.Errorf("fault: %s %v outside [0, 1]", r.name, r.rate)
+		}
+	}
+	if p.Delay < 0 || p.AssessCost < 0 {
+		return fmt.Errorf("fault: negative duration (Delay %v, AssessCost %v)", p.Delay, p.AssessCost)
+	}
+	for i, t := range p.CrashTicks {
+		if t < 0 {
+			return fmt.Errorf("fault: CrashTicks[%d] = %d is negative", i, t)
+		}
+		if i > 0 && t < p.CrashTicks[i-1] {
+			return fmt.Errorf("fault: CrashTicks must be ascending, got %d after %d", t, p.CrashTicks[i-1])
+		}
+	}
+	return nil
+}
+
 // None is the empty plan: no faults are ever injected.
 var None = Plan{}
 

@@ -2,7 +2,9 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -139,5 +141,38 @@ func TestInjectorSnapshotRestore(t *testing.T) {
 	}
 	if err := nilInj.Restore(snap); err == nil {
 		t.Fatal("restoring counters into nil injector accepted")
+	}
+}
+
+// TestPlanValidate: rates are probabilities, durations and crash ticks are
+// non-negative, crash ticks ascend (repeats allowed: NextCrash skips them).
+func TestPlanValidate(t *testing.T) {
+	for _, ok := range []Plan{
+		None,
+		Default(7),
+		{AbortRate: 1, CrashTicks: []int64{0, 3, 3, 9}},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+	for _, tc := range []struct {
+		plan Plan
+		want string
+	}{
+		{Plan{PanicRate: 7}, "PanicRate 7 outside [0, 1]"},
+		{Plan{SaturateRate: -0.1}, "SaturateRate"},
+		{Plan{DelayRate: math.NaN()}, "DelayRate"},
+		{Plan{AbortRate: 1.5}, "AbortRate"},
+		{Plan{PressureRate: 2}, "PressureRate"},
+		{Plan{Delay: -5}, "negative duration"},
+		{Plan{AssessCost: -time.Millisecond}, "negative duration"},
+		{Plan{CrashTicks: []int64{-5}}, "CrashTicks[0] = -5 is negative"},
+		{Plan{CrashTicks: []int64{9, 5}}, "must be ascending, got 5 after 9"},
+	} {
+		err := tc.plan.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Validate = %v, want an error mentioning %q", tc.plan, err, tc.want)
+		}
 	}
 }

@@ -174,17 +174,3 @@ func Compile(w Workload) (*Compiled, error) {
 	}
 	return c, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

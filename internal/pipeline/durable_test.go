@@ -398,3 +398,49 @@ func TestCheckpointBytesReproducible(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestWALBytesScheduleIndependent: what an operator appends to the WAL
+// is a function of the workload alone, never of the schedule. The serial
+// shape (1 worker, one stripe) and a fanned-out one (4 workers, 8 stripes)
+// must leave, operator by operator, the identical sequence of ingest-record
+// bytes — recovery replays that sequence, so a schedule-dependent order
+// would make the recovered state depend on how the crashed run was sized.
+func TestIngestWALBytesScheduleIndependent(t *testing.T) {
+	ingestRecords := func(workers, shards int) [][][]byte {
+		st := storage.NewMemStore()
+		cfg := detConfig(workers, shards, fault.None)
+		cfg.Profile.LambdaD = 40 // several checkpoints per operator, mid-tick
+		cfg.Ticks = 12
+		cfg.Durable = st
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		perOp := make([][][]byte, 4)
+		err := st.ReplayWAL(func(rec []byte) error {
+			if rec[0] == walKindIngest {
+				op := binary.LittleEndian.Uint32(rec[1:5])
+				perOp[op] = append(perOp[op], bytes.Clone(rec))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return perOp
+	}
+	serial, fanned := ingestRecords(1, 0), ingestRecords(4, 8)
+	for op := range serial {
+		if len(serial[op]) == 0 {
+			t.Fatalf("operator %d appended no ingest record; workload broken", op)
+		}
+		if len(serial[op]) != len(fanned[op]) {
+			t.Fatalf("operator %d: %d ingest records at 1 worker, %d at 4 workers x 8 shards",
+				op, len(serial[op]), len(fanned[op]))
+		}
+		for i := range serial[op] {
+			if !bytes.Equal(serial[op][i], fanned[op][i]) {
+				t.Fatalf("operator %d: ingest record %d differs between 1 worker and 4 workers x 8 shards", op, i)
+			}
+		}
+	}
+}

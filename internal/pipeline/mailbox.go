@@ -1,7 +1,10 @@
 // Package pipeline is the concurrent twin of internal/engine: the same
 // adaptive multi-route system run as a live Go program — one goroutine per
-// STeM operator, bounded mailboxes between them, a shared router, and
-// self-tuning AMRI states guarded by per-state locks. Where internal/engine
+// STeM operator applying its arrivals from a bounded mailbox the source
+// fills, a pool of probe workers handing probes over on work-stealing
+// deques, a shared router, and self-tuning AMRI states that probes read
+// without any operator lock (each pins the live index epoch with one atomic
+// load; the index is lock-striped all the way down). Where internal/engine
 // measures virtual time deterministically for the paper's figures, pipeline
 // measures real wall-clock throughput and demonstrates the system working
 // under actual parallelism — including under injected faults: every
@@ -20,11 +23,10 @@ import (
 type OverloadPolicy int
 
 const (
-	// PolicyBlock applies backpressure: PushWait blocks until space frees
-	// up. Operator-side Push never blocks even under this policy — hard
-	// backpressure inside a cyclic probe graph (A probes B while B probes
-	// A) deadlocks — so intra-pipeline pushes spill past the cap and only
-	// the source is throttled.
+	// PolicyBlock applies backpressure: the producer waits until space
+	// frees up. The only producer is the workload source, which sits
+	// outside the probe graph (probes travel on the worker deques, never
+	// through mailboxes), so blocking it cannot deadlock the drain.
 	PolicyBlock OverloadPolicy = iota
 	// PolicyDropNewest sheds the incoming message.
 	PolicyDropNewest
@@ -97,11 +99,6 @@ type mailbox[T any] struct {
 	items    []T
 	head     int
 	closed   bool
-	sheds    uint64
-}
-
-func newMailbox[T any]() *mailbox[T] {
-	return newBoundedMailbox[T](0, PolicyBlock, nil)
 }
 
 func newBoundedMailbox[T any](capacity int, policy OverloadPolicy, onShed func(T, PushResult)) *mailbox[T] {
@@ -111,17 +108,10 @@ func newBoundedMailbox[T any](capacity int, policy OverloadPolicy, onShed func(T
 	return m
 }
 
-// Push enqueues an item without ever blocking. A full mailbox sheds per the
-// drop policies; under PolicyBlock the item spills past the cap (see
-// PolicyBlock for why). Pushing to a closed mailbox is refused with
-// PushClosed and the caller keeps ownership of the item.
-func (m *mailbox[T]) Push(v T) PushResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pushLocked(v)
-}
-
-// pushLocked is Push's body; the caller holds mu.
+// pushLocked enqueues one item without blocking; the caller holds mu. A
+// full mailbox sheds per the drop policies (PolicyBlock callers wait for
+// space first). A closed mailbox refuses the item with PushClosed and the
+// caller keeps ownership of it.
 func (m *mailbox[T]) pushLocked(v T) PushResult {
 	if m.closed {
 		return PushClosed
@@ -129,7 +119,6 @@ func (m *mailbox[T]) pushLocked(v T) PushResult {
 	if m.capacity > 0 && len(m.items)-m.head >= m.capacity {
 		switch m.policy {
 		case PolicyDropNewest:
-			m.sheds++
 			if m.onShed != nil {
 				m.onShed(v, PushShedNewest)
 			}
@@ -139,7 +128,6 @@ func (m *mailbox[T]) pushLocked(v T) PushResult {
 			var zero T
 			m.items[m.head] = zero
 			m.head++
-			m.sheds++
 			if m.onShed != nil {
 				m.onShed(victim, PushShedOldest)
 			}
@@ -153,30 +141,12 @@ func (m *mailbox[T]) pushLocked(v T) PushResult {
 	return PushAccepted
 }
 
-// PushWait is Push with real backpressure: under PolicyBlock it waits while
-// the mailbox is full before pushing. Only the workload source uses it —
-// the source sits outside the operator cycle, so blocking it cannot
-// deadlock the drain. The wait and the push are separate critical sections,
-// so concurrent PushWait callers can overshoot the cap by their own count;
-// with the pipeline's single source goroutine the bound is exact.
-func (m *mailbox[T]) PushWait(v T) PushResult {
-	if m.policy == PolicyBlock {
-		m.mu.Lock()
-		for m.capacity > 0 && len(m.items)-m.head >= m.capacity && !m.closed {
-			m.notFull.Wait()
-		}
-		m.mu.Unlock()
-	}
-	return m.Push(v)
-}
-
 // PushWaitBatch enqueues a whole batch under one lock acquisition, with
-// PushWait's backpressure per item: under PolicyBlock each item waits for
-// space before it is enqueued (Cond.Wait releases the lock, so the owner
-// drains concurrently). Unlike PushWait's separate wait-then-push critical
-// sections, the wait and the push are atomic here, so a batch never
-// overshoots the cap. The returned results are positional: a PushClosed
-// entry means that item and every later one were refused.
+// backpressure per item: under PolicyBlock each item waits for space before
+// it is enqueued (Cond.Wait releases the lock, so the owner drains
+// concurrently). The wait and the push are one critical section, so a batch
+// never overshoots the cap. The returned results are positional: a
+// PushClosed entry means that item and every later one were refused.
 func (m *mailbox[T]) PushWaitBatch(vs []T) []PushResult {
 	res := make([]PushResult, len(vs))
 	m.mu.Lock()
@@ -213,43 +183,6 @@ func (m *mailbox[T]) Pop() (v T, ok bool) {
 	}
 	m.notFull.Signal()
 	return v, true
-}
-
-// TryPop is Pop without the wait: it returns the head item if one is
-// queued right now and ok=false otherwise (empty OR closed-and-drained —
-// callers distinguishing the two keep using Pop). The partitioned ingest
-// path uses it to gather everything immediately available into one batch
-// without ever blocking behind the source.
-func (m *mailbox[T]) TryPop() (v T, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.head >= len(m.items) {
-		return v, false
-	}
-	v = m.items[m.head]
-	var zero T
-	m.items[m.head] = zero
-	m.head++
-	if m.head > 1024 && m.head*2 > len(m.items) {
-		m.items = append([]T(nil), m.items[m.head:]...)
-		m.head = 0
-	}
-	m.notFull.Signal()
-	return v, true
-}
-
-// Len returns the queued item count.
-func (m *mailbox[T]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.items) - m.head
-}
-
-// Sheds returns how many messages this mailbox dropped at capacity.
-func (m *mailbox[T]) Sheds() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sheds
 }
 
 // Close wakes all waiters; queued items are still drained by Pop, while new

@@ -4,8 +4,15 @@ import (
 	"sync"
 	"testing"
 
+	"amri/internal/fault"
 	"amri/internal/tuple"
 )
+
+// push1 is a one-item PushWaitBatch: the mailbox has one producer entry
+// point, and a batch of one is its single-message case.
+func push1[T any](mb *mailbox[T], v T) PushResult {
+	return mb.PushWaitBatch([]T{v})[0]
+}
 
 func TestMailboxDropNewest(t *testing.T) {
 	var shed []int
@@ -15,14 +22,16 @@ func TestMailboxDropNewest(t *testing.T) {
 		}
 		shed = append(shed, v)
 	})
-	if mb.Push(1) != PushAccepted || mb.Push(2) != PushAccepted {
+	// One batch straddling the cap: the overflow is shed item by item.
+	got := mb.PushWaitBatch([]int{1, 2, 3})
+	if got[0] != PushAccepted || got[1] != PushAccepted {
 		t.Fatal("pushes under capacity must be accepted")
 	}
-	if got := mb.Push(3); got != PushShedNewest {
-		t.Fatalf("push past cap = %v, want PushShedNewest", got)
+	if got[2] != PushShedNewest {
+		t.Fatalf("push past cap = %v, want PushShedNewest", got[2])
 	}
-	if mb.Sheds() != 1 || len(shed) != 1 || shed[0] != 3 {
-		t.Fatalf("shed accounting wrong: sheds=%d shed=%v", mb.Sheds(), shed)
+	if len(shed) != 1 || shed[0] != 3 {
+		t.Fatalf("shed accounting wrong: shed=%v", shed)
 	}
 	// The queue keeps the oldest two, in order.
 	for _, want := range []int{1, 2} {
@@ -40,9 +49,8 @@ func TestMailboxDropOldest(t *testing.T) {
 		}
 		shed = append(shed, v)
 	})
-	mb.Push(1)
-	mb.Push(2)
-	if got := mb.Push(3); got != PushShedOldest {
+	mb.PushWaitBatch([]int{1, 2})
+	if got := push1(mb, 3); got != PushShedOldest {
 		t.Fatalf("push past cap = %v, want PushShedOldest", got)
 	}
 	if len(shed) != 1 || shed[0] != 1 {
@@ -56,29 +64,14 @@ func TestMailboxDropOldest(t *testing.T) {
 	}
 }
 
-func TestMailboxBlockSpillsOnPush(t *testing.T) {
-	mb := newBoundedMailbox[int](1, PolicyBlock, nil)
-	mb.Push(1)
-	// Operator-side Push must never block even at capacity: it spills.
-	if got := mb.Push(2); got != PushAccepted {
-		t.Fatalf("Push under PolicyBlock = %v, want spill-accept", got)
-	}
-	if mb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (spilled)", mb.Len())
-	}
-	if mb.Sheds() != 0 {
-		t.Fatal("PolicyBlock must not shed")
-	}
-}
-
 func TestMailboxPushWaitBackpressure(t *testing.T) {
 	mb := newBoundedMailbox[int](1, PolicyBlock, nil)
-	mb.Push(1)
+	push1(mb, 1)
 	entered := make(chan struct{})
 	released := make(chan PushResult)
 	go func() {
 		close(entered)
-		released <- mb.PushWait(2)
+		released <- push1(mb, 2)
 	}()
 	<-entered
 	// The producer is (about to be) parked on a full mailbox; a Pop must
@@ -87,7 +80,7 @@ func TestMailboxPushWaitBackpressure(t *testing.T) {
 		t.Fatal("Pop failed")
 	}
 	if r := <-released; r != PushAccepted {
-		t.Fatalf("PushWait = %v after space freed", r)
+		t.Fatalf("PushWaitBatch = %v after space freed", r)
 	}
 	if v, ok := mb.Pop(); !ok || v != 2 {
 		t.Fatalf("waited push not delivered: %d,%v", v, ok)
@@ -95,10 +88,11 @@ func TestMailboxPushWaitBackpressure(t *testing.T) {
 }
 
 // TestMailboxClosePushRace is the close/push semantics contract under
-// contention: producers hammer Push/PushWait while the mailbox closes
-// mid-stream. Every push must resolve to exactly one of accepted (and then
-// be drained) or PushClosed (and then NOT be drained) — no message may be
-// both refused and delivered, and none may vanish unaccounted.
+// contention: producers hammer PushWaitBatch (batches of one and of three)
+// while the mailbox closes mid-stream. Every push must resolve to exactly
+// one of accepted (and then be drained) or PushClosed (and then NOT be
+// drained) — no message may be both refused and delivered, and none may
+// vanish unaccounted.
 func TestMailboxClosePushRace(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		mb := newBoundedMailbox[int](4, PolicyBlock, nil)
@@ -109,27 +103,29 @@ func TestMailboxClosePushRace(t *testing.T) {
 			wg.Add(1)
 			go func(base int) {
 				defer wg.Done()
-				for i := 0; i < per; i++ {
-					v := base*per + i
-					var r PushResult
-					if i%2 == 0 {
-						r = mb.Push(v)
-					} else {
-						r = mb.PushWait(v)
+				for i := 0; i < per; {
+					batch := []int{base*per + i}
+					if i%2 == 1 {
+						for len(batch) < 3 && i+len(batch) < per {
+							batch = append(batch, base*per+i+len(batch))
+						}
 					}
-					switch r {
-					case PushAccepted:
-						accepted.Store(v, true)
-					case PushClosed:
-						refused.Store(v, true)
-					default:
-						t.Errorf("unexpected push result %v", r)
+					for k, r := range mb.PushWaitBatch(batch) {
+						switch r {
+						case PushAccepted:
+							accepted.Store(batch[k], true)
+						case PushClosed:
+							refused.Store(batch[k], true)
+						default:
+							t.Errorf("unexpected push result %v", r)
+						}
 					}
+					i += len(batch)
 				}
 			}(p)
 		}
-		// Consumer drains concurrently so PushWait never parks forever,
-		// then closes the mailbox mid-stream and drains the tail.
+		// Consumer drains concurrently so a blocked producer never parks
+		// forever, then closes the mailbox mid-stream and drains the tail.
 		drained := make(map[int]bool)
 		done := make(chan struct{})
 		go func() {
@@ -174,84 +170,64 @@ func TestMailboxClosePushRace(t *testing.T) {
 	}
 }
 
-// TestMailboxDropOldestAccountsVictimKind pins the shed-accounting
-// contract Run relies on: under drop-oldest the onShed hook receives the
-// EVICTED message, so the ingest/probe split is charged to the message
-// actually lost — not to whatever the pusher happened to be carrying. A
-// full mailbox holding an ingest that a composite pushes past must record
-// one ingest shed and zero probe sheds.
-func TestMailboxDropOldestAccountsVictimKind(t *testing.T) {
-	var ingestShed, probeShed int
-	account := func(m message, r PushResult) {
-		if r != PushShedOldest {
-			t.Errorf("onShed reason = %v, want PushShedOldest", r)
-		}
-		// Mirrors run.accountShed's kind split.
-		if m.ingest != nil {
-			ingestShed++
-		} else {
-			probeShed++
-		}
+// shedRun builds a run whose operator mailboxes hold one message under the
+// given drop policy — the real onShed wiring newRun installs, not a copy of
+// it — and delivers two arrivals to operator 0 with their wg slots taken.
+func shedRun(t *testing.T, policy OverloadPolicy) (p *run, queued, pushed *tuple.Tuple, got PushResult) {
+	t.Helper()
+	cfg := detConfig(1, 0, fault.None)
+	cfg.MailboxCap = 1
+	cfg.ShedPolicy = policy
+	p, err := newRun(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mb := newBoundedMailbox[message](1, PolicyDropOldest, account)
-
-	queuedIngest := message{ingest: &tuple.Tuple{Seq: 1}}
-	pushedComp := message{comp: tuple.NewComposite(4, &tuple.Tuple{Seq: 2})}
-	mb.Push(queuedIngest)
-	if got := mb.Push(pushedComp); got != PushShedOldest {
-		t.Fatalf("push past cap = %v, want PushShedOldest", got)
+	queued, pushed = &tuple.Tuple{Seq: 1}, &tuple.Tuple{Seq: 2}
+	p.wg.Add(2)
+	res := p.ops[0].mb.PushWaitBatch([]message{{ingest: queued}, {ingest: pushed}})
+	if res[0] != PushAccepted {
+		t.Fatalf("push into an empty mailbox = %v", res[0])
 	}
-	if ingestShed != 1 || probeShed != 0 {
-		t.Fatalf("shed split = %d ingest / %d probe, want the evicted ingest charged",
-			ingestShed, probeShed)
-	}
-	// The survivor is the pushed composite.
-	if v, ok := mb.Pop(); !ok || v.comp == nil || v.comp.Parts[0].Seq != 2 {
-		t.Fatalf("survivor = %+v, want the pushed composite", v)
-	}
-
-	// And symmetrically: evicting a queued composite with an ingest push
-	// charges the probe side.
-	ingestShed, probeShed = 0, 0
-	mb2 := newBoundedMailbox[message](1, PolicyDropOldest, account)
-	mb2.Push(message{comp: tuple.NewComposite(4, &tuple.Tuple{Seq: 3})})
-	mb2.Push(message{ingest: &tuple.Tuple{Seq: 4}})
-	if ingestShed != 0 || probeShed != 1 {
-		t.Fatalf("shed split = %d ingest / %d probe, want the evicted composite charged",
-			ingestShed, probeShed)
-	}
-	if v, ok := mb2.Pop(); !ok || v.ingest == nil || v.ingest.Seq != 4 {
-		t.Fatalf("survivor = %+v, want the pushed ingest", v)
-	}
+	return p, queued, pushed, res[1]
 }
 
-// TestMailboxDropNewestAccountsPusherKind is the drop-newest twin: the
-// shed message IS the pushed one, so its kind is charged even when the
-// queue holds the other kind.
+// assertOneIngestShed checks the run's shed ledger after shedRun: one
+// arrival charged to operator 0 as an ingest shed, nothing to the probe
+// side, its wg slot released, and want the mailbox's sole survivor.
+func assertOneIngestShed(t *testing.T, p *run, want *tuple.Tuple) {
+	t.Helper()
+	if in, pr, op := p.ingestShed.Load(), p.probeShed.Load(), p.sheds[0].Load(); in != 1 || pr != 0 || op != 1 {
+		t.Fatalf("shed ledger = %d ingest / %d probe / %d on operator 0, want 1 / 0 / 1", in, pr, op)
+	}
+	v, ok := p.ops[0].mb.Pop()
+	if !ok || v.ingest != want {
+		t.Fatalf("survivor = %+v, want seq %d", v, want.Seq)
+	}
+	p.wg.Done() // the survivor's slot; the victim's was released by the hook
+	p.wg.Wait()
+}
+
+// TestMailboxDropOldestAccountsVictimKind pins the shed-accounting
+// contract Run relies on: under drop-oldest the message lost is the EVICTED
+// queue head, not the one the pusher was carrying — the hook charges one
+// ingest shed to the operator and releases the victim's barrier slot, and
+// the pushed arrival is what the operator then applies.
+func TestMailboxDropOldestAccountsVictimKind(t *testing.T) {
+	p, _, pushed, got := shedRun(t, PolicyDropOldest)
+	if got != PushShedOldest {
+		t.Fatalf("push past cap = %v, want PushShedOldest", got)
+	}
+	assertOneIngestShed(t, p, pushed)
+}
+
+// TestMailboxDropNewestAccountsPusherKind is the drop-newest twin: the shed
+// message IS the pushed one, and the queued arrival survives untouched.
 func TestMailboxDropNewestAccountsPusherKind(t *testing.T) {
-	var ingestShed, probeShed int
-	mb := newBoundedMailbox[message](1, PolicyDropNewest, func(m message, r PushResult) {
-		if r != PushShedNewest {
-			t.Errorf("onShed reason = %v, want PushShedNewest", r)
-		}
-		if m.ingest != nil {
-			ingestShed++
-		} else {
-			probeShed++
-		}
-	})
-	mb.Push(message{ingest: &tuple.Tuple{Seq: 1}})
-	if got := mb.Push(message{comp: tuple.NewComposite(4, &tuple.Tuple{Seq: 2})}); got != PushShedNewest {
+	p, queued, _, got := shedRun(t, PolicyDropNewest)
+	if got != PushShedNewest {
 		t.Fatalf("push past cap = %v, want PushShedNewest", got)
 	}
-	if ingestShed != 0 || probeShed != 1 {
-		t.Fatalf("shed split = %d ingest / %d probe, want the refused composite charged",
-			ingestShed, probeShed)
-	}
-	// The queued ingest survives untouched.
-	if v, ok := mb.Pop(); !ok || v.ingest == nil || v.ingest.Seq != 1 {
-		t.Fatalf("survivor = %+v, want the queued ingest", v)
-	}
+	assertOneIngestShed(t, p, queued)
 }
 
 func TestParsePolicy(t *testing.T) {

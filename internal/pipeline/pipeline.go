@@ -43,9 +43,9 @@ type Config struct {
 	// Explore is the router's suboptimal-route probability.
 	Explore float64
 
-	// ProbeWorkers sizes the shared probe worker pool: composite (probe)
-	// messages from every operator fan out over this many goroutines,
-	// while ingests stay on each operator's own serve goroutine (default
+	// ProbeWorkers sizes the shared probe worker pool: every operator's
+	// probe jobs fan out over this many goroutines and their deques, while
+	// ingests stay on each operator's own serve goroutine (default
 	// runtime.NumCPU()). The result set is identical at any worker count;
 	// see the determinism tests.
 	ProbeWorkers int
@@ -68,7 +68,7 @@ type Config struct {
 	// messages (0 = unbounded, the pre-fault-tolerance behaviour).
 	MailboxCap int
 	// ShedPolicy is the overload response of a full mailbox (default
-	// PolicyBlock: backpressure on the source, spill for operators).
+	// PolicyBlock: backpressure on the source).
 	ShedPolicy OverloadPolicy
 	// Fault is the seeded fault-injection plan; fault.None (the zero
 	// value) injects nothing.
@@ -176,16 +176,13 @@ type Result struct {
 	Recovered uint64
 }
 
-// message is one unit of operator work.
+// message is one unit of operator work: an arrival for the operator's state.
 type message struct {
 	ingest *tuple.Tuple
-	comp   *tuple.Composite
-	// doPanic pre-decides the OperatorPanic fault at delivery time (one
-	// injector decision per surviving ingest, in arrival order — the same
-	// per-(kind, actor) sequence the old handle-time decision consumed).
-	// Deciding at delivery lets the partitioned ingest path see a batch's
-	// panics BEFORE it fans the inserts out, so an injected panic always
-	// fires before its tuple reaches the state or the WAL.
+	// doPanic pre-decides the OperatorPanic fault at delivery time: one
+	// injector decision per surviving ingest, in arrival order, on the source
+	// goroutine — so the per-(kind, actor) fault schedule does not depend on
+	// when the operator gets to the message.
 	doPanic bool
 }
 
@@ -213,9 +210,6 @@ type operator struct {
 	_   [56]byte
 
 	durable bool // a CheckpointStore backs this operator (Config.Durable)
-	// partitioned enables the shard-affine batched ingest path: sharded
-	// runs with more than one worker.
-	partitioned bool
 
 	mu       sync.RWMutex
 	ix       *core.AdaptiveIndex
@@ -249,14 +243,9 @@ type operator struct {
 	failed   padBool
 	restarts atomic.Int64
 
-	// Supervisor-goroutine-local state: the message being handled (so a
-	// panic's recover can release it), the accumulated-but-unapplied ingest
-	// batch (serve resumes it after a restart; drainFailed sheds it), and
-	// the per-worker shard-affine insert groups the partitioned path reuses
-	// tick to tick.
-	inflight  message
-	pending   []message
-	insGroups [][]*tuple.Tuple
+	// inflight is supervisor-goroutine-local: the message being handled, so
+	// a panic's recover can release it.
+	inflight message
 }
 
 // padUint64, padInt64 and padBool are atomic cells padded to a full cache
@@ -343,16 +332,9 @@ type routerObs struct {
 // admitLocked is the only place an arrival enters the operator's state,
 // live or replayed: index and window are maintained together — insert,
 // retain, expire→delete. Timestamp-bucket expiry with watermark slack is
-// exact under out-of-order arrivals. indexed says the partitioned ingest
-// path already ran the index insert shard-affinely on the workers; every
-// insert of its batch completed before the first admitLocked, so each
-// expiry's Delete targets are present and the (insert set − expired set)
-// comes out the same as on the serial path, just with the inserts hoisted
-// ahead of the walk. The caller holds o.mu.
-func (o *operator) admitLocked(t *tuple.Tuple, indexed bool) {
-	if !indexed {
-		o.ix.Insert(t)
-	}
+// exact under out-of-order arrivals. The caller holds o.mu.
+func (o *operator) admitLocked(t *tuple.Tuple) {
+	o.ix.Insert(t)
 	o.retained.Add(t)
 	o.retained.Expire(t.TS, func(old *tuple.Tuple) {
 		o.ix.Delete(old)
@@ -361,10 +343,10 @@ func (o *operator) admitLocked(t *tuple.Tuple, indexed bool) {
 
 // insert applies one live arrival — admitLocked plus the checkpoint and WAL
 // cursors — and reports whether a checkpoint is due.
-func (o *operator) insert(t *tuple.Tuple, indexed bool) (ckpt bool) {
+func (o *operator) insert(t *tuple.Tuple) (ckpt bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.admitLocked(t, indexed)
+	o.admitLocked(t)
 	o.length.Store(int64(o.ix.Len()))
 	o.sinceCkpt++
 	o.applied++
@@ -391,7 +373,7 @@ func (o *operator) rebuildLocked(ix *core.AdaptiveIndex, snap, suffix []*tuple.T
 		o.retained.Add(t)
 	}
 	for _, t := range suffix {
-		o.admitLocked(t, false)
+		o.admitLocked(t)
 	}
 	o.length.Store(int64(ix.Len()))
 	o.cur.Store(ix)
@@ -620,32 +602,19 @@ func (p *run) firstStoreErr() error {
 	return p.storeErr
 }
 
-// probeJob is one unit of deque work: a probe (o+comp) or — on the
-// partitioned ingest path — a shard-affine insert batch (ins != nil): the
-// worker inserts every tuple into ins.ix and signals ins.done once. Insert
-// jobs are not tracked by run.wg; the serve goroutine that fanned them out
-// waits on ins.done before it runs the batch's serial bookkeeping. The
-// insert fields live behind a pointer deliberately — jobs are copied on
-// every push/pop/steal and zeroed on every consume, and at three words the
-// copies compile to plain register moves instead of duffcopy (which a
-// 56-byte flat layout put at ~4% of a drift-run profile).
+// probeJob is one unit of deque work: composite comp probes operator o's
+// state. Jobs are copied on every push/pop/steal and zeroed on every
+// consume, so the struct stays two words.
 type probeJob struct {
 	o    *operator
 	comp *tuple.Composite
-	ins  *insBatch
 }
 
-// insBatch carries one worker's slice of an operator's ingest batch.
-type insBatch struct {
-	tuples []*tuple.Tuple
-	ix     *core.AdaptiveIndex
-	done   *sync.WaitGroup
-}
-
-// accountShed records one dropped message against its target operator.
-func (p *run) accountShed(target int, m message) {
+// accountShed records one dropped unit of work — an arrival (ingest) or a
+// probe — against its target operator.
+func (p *run) accountShed(target int, ingest bool) {
 	p.sheds[target].Add(1)
-	if m.ingest != nil {
+	if ingest {
 		p.ingestShed.Add(1)
 	} else {
 		p.probeShed.Add(1)
@@ -665,11 +634,11 @@ func (p *run) deliverIngestBatch(target int, ts []*tuple.Tuple) {
 	for _, t := range ts {
 		m := message{ingest: t}
 		if o.failed.Load() {
-			p.accountShed(target, m)
+			p.accountShed(target, true)
 			continue
 		}
 		if p.inj.Decide(fault.MailboxSaturate, target) {
-			p.accountShed(target, m)
+			p.accountShed(target, true)
 			continue
 		}
 		if p.inj.Decide(fault.MailboxDelay, target) {
@@ -677,8 +646,7 @@ func (p *run) deliverIngestBatch(target int, ts []*tuple.Tuple) {
 			time.Sleep(p.inj.Delay())
 		}
 		// Pre-decide the handling-time panic (see message.doPanic): one
-		// decision per survivor, in arrival order — the sequence the
-		// handle-time decision consumed under PolicyBlock.
+		// decision per survivor, in arrival order.
 		m.doPanic = p.inj.Decide(fault.OperatorPanic, target)
 		msgs = append(msgs, m)
 	}
@@ -686,12 +654,12 @@ func (p *run) deliverIngestBatch(target int, ts []*tuple.Tuple) {
 		return
 	}
 	p.wg.Add(len(msgs))
-	for i, r := range o.mb.PushWaitBatch(msgs) {
+	for _, r := range o.mb.PushWaitBatch(msgs) {
 		// Shed results are accounted by the mailbox's onShed hook (which sees
 		// the actual dropped message — the victim head under drop-oldest).
 		// A closed mailbox refuses the message outright: account it here.
 		if r == PushClosed {
-			p.accountShed(target, msgs[i])
+			p.accountShed(target, true)
 			p.wg.Done()
 		}
 	}
@@ -708,15 +676,13 @@ func (p *run) handleIngest(o *operator, msg message) {
 	if msg.doPanic {
 		panic(fmt.Sprintf("pipeline: injected panic at operator %d", o.id))
 	}
-	p.applyArrival(o, msg.ingest, false)
+	p.applyArrival(o, msg.ingest)
 }
 
 // applyArrival inserts one arrival and makes it durable, in that order, on
-// the operator's serve goroutine; the per-message and the partitioned ingest
-// paths both end here, so the store sees one record sequence whichever ran.
-// indexed is admitLocked's: the index insert already happened.
-func (p *run) applyArrival(o *operator, t *tuple.Tuple, indexed bool) {
-	ckptDue := o.insert(t, indexed)
+// the operator's serve goroutine.
+func (p *run) applyArrival(o *operator, t *tuple.Tuple) {
+	ckptDue := o.insert(t)
 	if p.store != nil {
 		// One WAL record per applied arrival, appended after the insert
 		// succeeded and outside the operator lock, so store latency never
@@ -789,7 +755,7 @@ func (p *run) handleCompDeque(o *operator, comp *tuple.Composite, sc *probeScrat
 // empty. Follow-up jobs accumulated during a batch are pushed to the own
 // deque in one operation (their wg slots were taken at creation, before the
 // parent's release, so the tick barrier cannot pass while they are
-// pending). Insert jobs from the partitioned ingest path execute here too.
+// pending).
 func (p *run) dequeWorker(sc *probeScratch) {
 	for {
 		n := p.dsp.popOwn(sc.w, p.batch, &sc.buf)
@@ -803,28 +769,19 @@ func (p *run) dequeWorker(sc *probeScratch) {
 			continue
 		}
 		p.dsp.wakeSibling()
-		handled := 0
 		for i := 0; i < n; i++ {
 			job := sc.buf[i]
 			sc.buf[i] = probeJob{}
-			if job.ins != nil {
-				for _, t := range job.ins.tuples {
-					job.ins.ix.Insert(t)
-				}
-				job.ins.done.Done()
-				continue
-			}
 			// The target may have failed permanently after dispatch; shed
 			// exactly as a mailbox drain would.
 			if job.o.failed.Load() {
-				p.accountShed(job.o.id, message{comp: job.comp})
+				p.accountShed(job.o.id, false)
 			} else {
 				p.handleCompDeque(job.o, job.comp, sc)
 			}
 			// The driving composite dies with its probe (extensions copy,
 			// results escape): recycle it into the worker's freelist.
 			sc.recycle(job.comp)
-			handled++
 		}
 		// One wg round-trip per batch, not per job: take the follow-ups'
 		// slots first, then release the handled jobs', so the barrier count
@@ -837,120 +794,26 @@ func (p *run) dequeWorker(sc *probeScratch) {
 			}
 			sc.pend = sc.pend[:0]
 		}
-		if handled > 0 {
-			p.wg.Add(-handled)
-		}
+		p.wg.Add(-n)
 	}
 }
 
 // serve drains the mailbox until closed-and-empty: arrivals are handled
 // inline (state mutation stays on the operator's goroutine, so an injected
 // panic is attributable to it); probes never pass through mailboxes — the
-// source and the workers hand them over on the worker deques. A partitioned
-// operator gathers every immediately available arrival into one batch and
-// fans the index inserts out shard-affinely; batches that are too small to
-// pay for the fan-out, or that contain a pre-decided panic, fall back to
-// the per-message path. A panic escapes to the recover in superviseOnce,
-// and the interrupted batch remainder is resumed by the drain at the top of
-// the loop.
+// source and the workers hand them over on the worker deques. A panic
+// escapes to the recover in superviseOnce.
 func (p *run) serve(o *operator) {
 	for {
-		p.drainPendingBatch(o)
 		msg, ok := o.mb.Pop()
 		if !ok {
 			return
 		}
-		if !o.partitioned {
-			o.inflight = msg
-			p.handleIngest(o, msg)
-			o.inflight = message{}
-			p.wg.Done()
-			continue
-		}
-		o.pending = append(o.pending, msg)
-		hasPanic := msg.doPanic
-		for len(o.pending) < partitionMaxBatch {
-			m2, ok2 := o.mb.TryPop()
-			if !ok2 {
-				break
-			}
-			o.pending = append(o.pending, m2)
-			hasPanic = hasPanic || m2.doPanic
-		}
-		if hasPanic || len(o.pending) < partitionMinBatch {
-			p.drainPendingBatch(o)
-			continue
-		}
-		p.ingestPartitioned(o)
-	}
-}
-
-// partitionMinBatch is the accumulated-batch size below which the
-// partitioned ingest path is not worth its fan-out overhead and the
-// per-message path runs instead; partitionMaxBatch caps how much one
-// accumulation gathers so checkpoint latency stays bounded. The choice of
-// path is timing-dependent and deliberately unobservable: both produce the
-// same state, the same WAL order and the same counters.
-const (
-	partitionMinBatch = 16
-	partitionMaxBatch = 256
-)
-
-// drainPendingBatch applies accumulated arrivals one at a time through the
-// full per-message path. It doubles as the panic-resume point: a restarted
-// serve finishes the interrupted batch before popping the mailbox again
-// (the panicked message itself was already removed here and accounted by
-// superviseOnce's recover).
-func (p *run) drainPendingBatch(o *operator) {
-	for len(o.pending) > 0 {
-		msg := o.pending[0]
-		o.pending[0] = message{}
-		o.pending = o.pending[1:]
 		o.inflight = msg
 		p.handleIngest(o, msg)
 		o.inflight = message{}
 		p.wg.Done()
 	}
-}
-
-// ingestPartitioned applies one accumulated ingest batch in two stages:
-// the index inserts fan out over the worker deques grouped by the live
-// epoch's shard (tuples of distinct workers touch disjoint lock stripes),
-// and after the insDone barrier the serial bookkeeping — retention,
-// expiry, WAL, checkpoints — runs in arrival order, so everything the
-// durable store or a recovery sees is byte-identical to the per-message
-// path.
-func (p *run) ingestPartitioned(o *operator) {
-	//amrivet:ignore[mutexguard] the serve goroutine owns o.ix between restores (only superviseOnce's restore path swaps it, on this same goroutine); concurrent probes pin o.cur, never o.ix
-	ix := o.ix
-	nw := len(p.dsp.deques)
-	if o.insGroups == nil {
-		o.insGroups = make([][]*tuple.Tuple, nw)
-	}
-	for _, msg := range o.pending {
-		w := ix.ShardOf(msg.ingest) % nw
-		o.insGroups[w] = append(o.insGroups[w], msg.ingest)
-	}
-	var insWG sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		if len(o.insGroups[w]) == 0 {
-			continue
-		}
-		insWG.Add(1)
-		p.dsp.push(w, []probeJob{{o: o, ins: &insBatch{tuples: o.insGroups[w], ix: ix, done: &insWG}}})
-	}
-	//amrivet:ignore[waitleak] the matching Done is job.ins.done.Done() in dequeWorker — the analyzer cannot trace the WaitGroup pointer through the insBatch field
-	insWG.Wait()
-	for w := 0; w < nw; w++ {
-		o.insGroups[w] = o.insGroups[w][:0]
-	}
-	for i := range o.pending {
-		t := o.pending[i].ingest
-		o.pending[i] = message{}
-		p.applyArrival(o, t, true)
-		p.wg.Done()
-	}
-	o.pending = o.pending[:0]
 }
 
 // superviseOnce runs one operator incarnation, converting a panic into
@@ -963,12 +826,8 @@ func (p *run) superviseOnce(o *operator) (done bool) {
 		done = false
 		m := o.inflight
 		o.inflight = message{}
-		if m.ingest != nil || m.comp != nil {
-			if m.ingest != nil {
-				p.ingestLost.Add(1)
-			} else {
-				p.probeLost.Add(1)
-			}
+		if m.ingest != nil {
+			p.ingestLost.Add(1)
 			p.wg.Done()
 		}
 	}()
@@ -1040,20 +899,13 @@ func (p *run) failOperator(o *operator) {
 	p.drainFailed(o)
 }
 
-// drainFailed sheds a failed operator's backlog — any accumulated batch
-// remainder first, then the mailbox until it closes.
+// drainFailed sheds a failed operator's backlog until the mailbox closes.
 func (p *run) drainFailed(o *operator) {
-	for _, msg := range o.pending {
-		p.accountShed(o.id, msg)
-		p.wg.Done()
-	}
-	o.pending = nil
 	for {
-		msg, ok := o.mb.Pop()
-		if !ok {
+		if _, ok := o.mb.Pop(); !ok {
 			return
 		}
-		p.accountShed(o.id, msg)
+		p.accountShed(o.id, true)
 		p.wg.Done()
 	}
 }
@@ -1107,15 +959,11 @@ func newRun(cfg Config) (*run, error) {
 	if cfg.DispatchBatch == 0 {
 		cfg.DispatchBatch = 64
 	}
-	if len(cfg.Fault.CrashTicks) > 0 {
-		if cfg.Durable == nil {
-			return nil, fmt.Errorf("pipeline: Fault.CrashTicks requires Config.Durable (nothing to recover from)")
-		}
-		for i := 1; i < len(cfg.Fault.CrashTicks); i++ {
-			if cfg.Fault.CrashTicks[i] < cfg.Fault.CrashTicks[i-1] {
-				return nil, fmt.Errorf("pipeline: Fault.CrashTicks must be ascending")
-			}
-		}
+	if err := cfg.Fault.Validate(); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
+	if len(cfg.Fault.CrashTicks) > 0 && cfg.Durable == nil {
+		return nil, fmt.Errorf("pipeline: Fault.CrashTicks requires Config.Durable (nothing to recover from)")
 	}
 	if cfg.BitBudget == 0 {
 		cfg.BitBudget = 12
@@ -1184,7 +1032,6 @@ func newRun(cfg Config) (*run, error) {
 			spec:        spec,
 			ckptEvery:   cfg.CheckpointEvery,
 			window:      q.WindowTicks,
-			partitioned: cfg.Shards > 0 && cfg.ProbeWorkers > 1,
 			durable:     cfg.Durable != nil,
 			newIx:       newIx,
 			newRetained: newRetained,
@@ -1193,8 +1040,8 @@ func newRun(cfg Config) (*run, error) {
 		}
 		o.cur.Store(ix)
 		o.mb = newBoundedMailbox[message](cfg.MailboxCap, cfg.ShedPolicy,
-			func(m message, _ PushResult) {
-				p.accountShed(o.id, m)
+			func(message, PushResult) {
+				p.accountShed(o.id, true)
 				p.wg.Done()
 			})
 		p.ops[s] = o

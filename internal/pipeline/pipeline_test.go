@@ -11,14 +11,13 @@ import (
 )
 
 func TestMailboxFIFO(t *testing.T) {
-	mb := newMailbox[int]()
-	for i := 0; i < 100; i++ {
-		if mb.Push(i) != PushAccepted {
-			t.Fatal("push to open mailbox failed")
+	mb := newBoundedMailbox[int](0, PolicyBlock, nil)
+	for i := 0; i < 100; i += 4 {
+		for _, r := range mb.PushWaitBatch([]int{i, i + 1, i + 2, i + 3}) {
+			if r != PushAccepted {
+				t.Fatal("push to open mailbox failed")
+			}
 		}
-	}
-	if mb.Len() != 100 {
-		t.Fatalf("Len = %d", mb.Len())
 	}
 	for i := 0; i < 100; i++ {
 		v, ok := mb.Pop()
@@ -29,11 +28,10 @@ func TestMailboxFIFO(t *testing.T) {
 }
 
 func TestMailboxCloseDrains(t *testing.T) {
-	mb := newMailbox[int]()
-	mb.Push(1)
-	mb.Push(2)
+	mb := newBoundedMailbox[int](0, PolicyBlock, nil)
+	mb.PushWaitBatch([]int{1, 2})
 	mb.Close()
-	if mb.Push(3) != PushClosed {
+	if push1(mb, 3) != PushClosed {
 		t.Fatal("push after close should report PushClosed")
 	}
 	if v, ok := mb.Pop(); !ok || v != 1 {
@@ -48,20 +46,20 @@ func TestMailboxCloseDrains(t *testing.T) {
 }
 
 func TestMailboxBlockingPop(t *testing.T) {
-	mb := newMailbox[string]()
+	mb := newBoundedMailbox[string](0, PolicyBlock, nil)
 	done := make(chan string)
 	go func() {
 		v, _ := mb.Pop()
 		done <- v
 	}()
-	mb.Push("hello")
+	push1(mb, "hello")
 	if got := <-done; got != "hello" {
 		t.Fatalf("got %q", got)
 	}
 }
 
 func TestMailboxConcurrentProducers(t *testing.T) {
-	mb := newMailbox[int]()
+	mb := newBoundedMailbox[int](0, PolicyBlock, nil)
 	const producers, per = 8, 500
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -69,13 +67,21 @@ func TestMailboxConcurrentProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				mb.Push(i)
+				push1(mb, i)
 			}
 		}()
 	}
 	wg.Wait()
-	if mb.Len() != producers*per {
-		t.Fatalf("Len = %d, want %d", mb.Len(), producers*per)
+	mb.Close()
+	n := 0
+	for {
+		if _, ok := mb.Pop(); !ok {
+			break
+		}
+		n++
+	}
+	if n != producers*per {
+		t.Fatalf("drained %d, want %d", n, producers*per)
 	}
 }
 

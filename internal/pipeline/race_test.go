@@ -42,7 +42,6 @@ func newTestOperator(t *testing.T, q *query.Query, autoTuneEvery uint64, seed ui
 	}
 	o := &operator{
 		spec:     spec,
-		mb:       newMailbox[message](),
 		window:   q.WindowTicks,
 		ix:       ix,
 		retained: window.New(q.WindowTicks, 0),
@@ -107,7 +106,7 @@ func runConcurrentProbeRetune(t *testing.T, shards int) {
 	go func() {
 		defer workers.Done()
 		for _, tp := range byStream[0] {
-			op.insert(tp, false)
+			op.insert(tp)
 		}
 	}()
 	// Probers: each partner stream's arrivals probe the state with its own

@@ -227,20 +227,6 @@ func PackageTracking(windowTicks int64) *Query {
 	return q
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // NewChain builds an n-way chain join: stream i joins stream i+1 via its
 // own attribute pair. End streams carry one join attribute, middle streams
 // two. It rejects n < 2 and surfaces compilation failures as errors —

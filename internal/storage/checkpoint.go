@@ -16,10 +16,11 @@ import (
 //   - SaveCheckpoint atomically replaces operator op's checkpoint; a crash
 //     mid-save must leave either the old or the new checkpoint readable,
 //     never a torn mix.
-//   - AppendWAL appends one record. Records are durable no later than the
-//     next Sync; an implementation may batch fsyncs between Syncs, so a
-//     crash can lose a suffix of un-synced appends but never reorder or
-//     corrupt the prefix.
+//   - AppendWAL appends one non-empty record; an empty one is refused (its
+//     CRC frame is eight zero bytes, which is also what a zero-filled tail
+//     looks like). Records are durable no later than the next Sync; an
+//     implementation may batch fsyncs between Syncs, so a crash can lose a
+//     suffix of un-synced appends but never reorder or corrupt the prefix.
 //   - ReplayWAL visits every intact record in append order. A torn tail
 //     (partial final record from a mid-append crash) is silently dropped,
 //     exactly once, at open time — it was never acknowledged as durable.
@@ -82,6 +83,9 @@ func (m *MemStore) LoadCheckpoint(op int) ([]byte, bool, error) {
 
 // AppendWAL appends a copy of the record.
 func (m *MemStore) AppendWAL(rec []byte) error {
+	if len(rec) == 0 {
+		return fmt.Errorf("storage: empty wal record")
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.wal = append(m.wal, append([]byte(nil), rec...))

@@ -3,9 +3,11 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -175,6 +177,11 @@ func TestFileStoreTornTailTruncation(t *testing.T) {
 			binary.LittleEndian.PutUint32(frame[0:4], 1<<30)
 			return append(b, frame...)
 		}},
+		// What a crash under delayed allocation leaves: the file grew, the
+		// data never landed. [len 0][crc 0] checksums correctly (crc32 of
+		// nothing is 0), so only the empty-record rule stops it replaying as
+		// five empty records.
+		{"zero-filled tail", func(b []byte) []byte { return append(b, make([]byte, 40)...) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -320,4 +327,140 @@ func TestFlakyStoreDropSchedule(t *testing.T) {
 	if benign.Dropped() != 0 {
 		t.Fatalf("DropEvery=1 dropped %d", benign.Dropped())
 	}
+}
+
+// TestStoresRefuseEmptyRecord: an empty record frames to eight zero
+// bytes, so both stores refuse it at append time instead of writing a frame
+// the scan must treat as damage.
+func TestStoresRefuseEmptyRecord(t *testing.T) {
+	for name, st := range stores(t) {
+		if err := st.AppendWAL(nil); err == nil {
+			t.Errorf("%s store accepted an empty record", name)
+		}
+		if err := st.AppendWAL([]byte("x")); err != nil {
+			t.Errorf("%s store: %v", name, err)
+		}
+		n := 0
+		st.ReplayWAL(func([]byte) error { n++; return nil })
+		if n != 1 {
+			t.Errorf("%s store replays %d records, want 1", name, n)
+		}
+	}
+}
+
+// failingReaderAt serves data up to failAt and fails every read that
+// reaches past it with a non-EOF error — a disk returning EIO mid-log.
+type failingReaderAt struct {
+	data   []byte
+	failAt int64
+}
+
+var errDisk = errors.New("injected disk read error")
+
+func (r failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > r.failAt {
+		return 0, errDisk
+	}
+	return copy(p, r.data[off:]), nil
+}
+
+// TestScanWALReadErrorIsNotATornTail: a read that fails for a reason other
+// than running out of file must surface as an error. Reported as a clean end
+// at the failing offset, truncateTornTail would cut acknowledged records off
+// the log.
+func TestScanWALReadErrorIsNotATornTail(t *testing.T) {
+	raw := walBytes(t, []byte("rec-1"), []byte("rec-2"))
+	if len(raw) != 26 {
+		t.Fatalf("two 5-byte records frame to %d bytes, want 26", len(raw))
+	}
+	var seen int
+	end, err := scanWAL(failingReaderAt{data: raw, failAt: 13}, int64(len(raw)), func([]byte) error { seen++; return nil })
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("scanWAL = end %d, err %v; want the disk error", end, err)
+	}
+	if seen != 1 {
+		t.Fatalf("visited %d records before the failing read, want 1", seen)
+	}
+}
+
+// walBytes returns the raw log a FileStore writes for the given records.
+func walBytes(t testing.TB, recs ...[]byte) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	fs, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := fs.AppendWAL(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// countingReaderAt records the largest buffer scanWAL asked it to fill —
+// scanWAL allocates a buffer only to read into it, so that is its largest
+// allocation.
+type countingReaderAt struct {
+	r       *bytes.Reader
+	maxRead int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.maxRead = max(c.maxRead, len(p))
+	return c.r.ReadAt(p, off)
+}
+
+// FuzzScanWAL: arbitrary bytes scan to a prefix of intact records plus the
+// offset where it ends — never a panic, an empty record, a buffer larger
+// than the input, or an offset the records do not add up to; and the prefix
+// is stable: scanning just those bytes again yields the same records.
+func FuzzScanWAL(f *testing.F) {
+	real := walBytes(f, []byte("intact-1"), []byte{0}, bytes.Repeat([]byte("wal"), 100))
+	f.Add(real)
+	f.Add(real[:len(real)-7])                             // torn payload
+	f.Add(append(bytes.Clone(real), make([]byte, 40)...)) // zero-filled tail
+	huge := bytes.Clone(real)
+	binary.LittleEndian.PutUint32(huge[0:4], maxWALRecord-1) // corrupt length word
+	f.Add(huge)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scan := func(b []byte) (recs [][]byte, end int64, maxRead int) {
+			r := &countingReaderAt{r: bytes.NewReader(b)}
+			end, err := scanWAL(r, int64(len(b)), func(rec []byte) error {
+				recs = append(recs, rec)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("scanWAL over an in-memory reader failed: %v", err)
+			}
+			return recs, end, r.maxRead
+		}
+		recs, end, maxRead := scan(data)
+		if maxRead > len(data) {
+			t.Fatalf("scanWAL read into a %d-byte buffer over a %d-byte log", maxRead, len(data))
+		}
+		sum := int64(0)
+		for i, rec := range recs {
+			if len(rec) == 0 {
+				t.Fatalf("record %d is empty", i)
+			}
+			sum += 8 + int64(len(rec))
+		}
+		if end != sum || end > int64(len(data)) {
+			t.Fatalf("end offset %d over %d bytes, records add up to %d", end, len(data), sum)
+		}
+		again, end2, _ := scan(data[:end])
+		if end2 != end || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("intact prefix is not stable: %d records to %d, rescanned %d records to %d", len(recs), end, len(again), end2)
+		}
+	})
 }

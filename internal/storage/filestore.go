@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,11 +15,12 @@ import (
 // WAL (`wal.log`) plus one checkpoint file per operator (`ckpt-<op>.bin`),
 // all under a single directory.
 //
-// Framing: every WAL record is [length u32le][crc32(payload) u32le][payload].
-// On open the log is scanned front to back; the first frame that is short,
-// oversized or fails its CRC marks the torn tail left by a mid-append crash,
-// and the file is truncated there — un-acknowledged suffix dropped, durable
-// prefix kept, exactly the contract ReplayWAL promises.
+// Framing: every WAL record is [length u32le][crc32(payload) u32le][payload],
+// the payload never empty. On open the log is scanned front to back; the
+// first frame that is short, empty, oversized or fails its CRC marks the torn
+// tail left by a mid-append crash, and the file is truncated there —
+// un-acknowledged suffix dropped, durable prefix kept, exactly the contract
+// ReplayWAL promises.
 //
 // Fsync policy: appends are batched — the file is fsynced after SyncEvery
 // un-synced appends and on every explicit Sync call. The pipeline calls
@@ -41,9 +43,8 @@ type FileStore struct {
 // DefaultSyncEvery is the fsync batch size when none is configured.
 const DefaultSyncEvery = 64
 
-// maxWALRecord bounds a single record frame; anything larger is treated as
-// corruption when the log is scanned (a torn length field can otherwise
-// claim gigabytes).
+// maxWALRecord bounds a single record frame: AppendWAL refuses anything
+// larger, and the scan treats it as corruption.
 const maxWALRecord = 1 << 28
 
 // FileStoreOption configures OpenFileStore.
@@ -96,7 +97,7 @@ func (fs *FileStore) ckptPath(op int) string {
 func (fs *FileStore) truncateTornTail() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	end, err := scanWAL(fs.wal, nil)
+	end, err := scanWALFile(fs.wal, nil)
 	if err != nil {
 		return err
 	}
@@ -109,25 +110,40 @@ func (fs *FileStore) truncateTornTail() error {
 	return nil
 }
 
-// scanWAL walks intact frames from the start of r, calling visit (when
-// non-nil) with each payload, and returns the byte offset where the intact
-// prefix ends. Damage — short header, oversized length, short payload, CRC
-// mismatch — ends the scan without an error: that is the torn tail.
-func scanWAL(r io.ReaderAt, visit func(rec []byte) error) (int64, error) {
+// scanWALFile is scanWAL over the whole of f as it is now.
+func scanWALFile(f *os.File, visit func(rec []byte) error) (int64, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("storage: stat wal: %w", err)
+	}
+	return scanWAL(f, info.Size(), visit)
+}
+
+// scanWAL walks intact frames from the start of r, which holds size bytes,
+// calling visit (when non-nil) with each payload, and returns the byte offset
+// where the intact prefix ends. Damage — short header, a length word that is
+// zero (crc32 of nothing is 0, so a zero-filled tail would otherwise read as
+// empty records), oversized or past the bytes that remain, CRC mismatch —
+// ends the scan without an error: that is the torn tail. The length word is
+// checked against size before the payload buffer is made, so a corrupt one
+// cannot allocate more than the log holds. A read that fails for any reason
+// other than running out of file is an error, never a tail to cut: the bytes
+// past it may be acknowledged records.
+func scanWAL(r io.ReaderAt, size int64, visit func(rec []byte) error) (int64, error) {
 	var off int64
 	var hdr [8]byte
-	for {
-		if _, err := r.ReadAt(hdr[:], off); err != nil {
-			return off, nil // short header: clean end or torn tail
+	for size-off >= int64(len(hdr)) {
+		if n, err := r.ReadAt(hdr[:], off); n < len(hdr) {
+			return off, tornRead(err)
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
+		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxWALRecord {
+		if n == 0 || n > maxWALRecord || n > size-off-int64(len(hdr)) {
 			return off, nil
 		}
 		payload := make([]byte, n)
-		if _, err := r.ReadAt(payload, off+8); err != nil {
-			return off, nil // short payload: torn tail
+		if got, err := r.ReadAt(payload, off+int64(len(hdr))); got < len(payload) {
+			return off, tornRead(err)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			return off, nil
@@ -137,12 +153,27 @@ func scanWAL(r io.ReaderAt, visit func(rec []byte) error) (int64, error) {
 				return off, err
 			}
 		}
-		off += 8 + int64(n)
+		off += int64(len(hdr)) + n
 	}
+	return off, nil
 }
 
-// AppendWAL frames and appends one record, fsyncing per the batch policy.
+// tornRead classifies a short ReadAt: running out of file is the torn tail
+// (nil), anything else is an I/O error.
+func tornRead(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return fmt.Errorf("storage: read wal: %w", err)
+}
+
+// AppendWAL frames and appends one record, fsyncing per the batch policy. It
+// writes only frames the scan accepts: an empty or oversized record is
+// refused.
 func (fs *FileStore) AppendWAL(rec []byte) error {
+	if len(rec) == 0 || len(rec) > maxWALRecord {
+		return fmt.Errorf("storage: wal record of %d bytes (want 1..%d)", len(rec), maxWALRecord)
+	}
 	frame := make([]byte, 8+len(rec))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(rec)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(rec))
@@ -204,7 +235,7 @@ func (fs *FileStore) ReplayWAL(visit func(rec []byte) error) error {
 		return fmt.Errorf("storage: open wal for replay: %w", err)
 	}
 	defer f.Close()
-	_, err = scanWAL(f, visit)
+	_, err = scanWALFile(f, visit)
 	return err
 }
 

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"amri/internal/query"
 	"amri/internal/tuple"
 )
 
@@ -95,6 +96,32 @@ func ParseTrace(r io.Reader, payloadBytes int) (*Trace, error) {
 		return nil, fmt.Errorf("stream: empty trace")
 	}
 	return tr, nil
+}
+
+// Validate reports whether the query can consume the trace: every row must
+// name one of the query's streams and carry at least the attributes that
+// stream's tuples have. ParseTrace cannot check this (it does not know the
+// query), and a row that does not fit would otherwise index past the
+// engine's operator table or a tuple's attributes mid-run. The error names
+// the first offending row, in file order.
+func (tr *Trace) Validate(q *query.Query) error {
+	var bad *tuple.Tuple
+	for _, ts := range tr.byTick {
+		for _, t := range ts {
+			if (t.Stream >= q.NumStreams() || len(t.Attrs) < q.Streams[t.Stream].Arity) && (bad == nil || t.Arrival < bad.Arrival) {
+				bad = t
+			}
+		}
+	}
+	switch {
+	case bad == nil:
+		return nil
+	case bad.Stream >= q.NumStreams():
+		return fmt.Errorf("stream: trace tick %d: stream %d, but the query has streams 0..%d", bad.TS, bad.Stream, q.NumStreams()-1)
+	default:
+		return fmt.Errorf("stream: trace tick %d: stream %d tuple has %d attributes, the query's have %d",
+			bad.TS, bad.Stream, len(bad.Attrs), q.Streams[bad.Stream].Arity)
+	}
 }
 
 // Tick returns the recorded arrivals of the tick (nil when none).

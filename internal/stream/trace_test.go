@@ -79,6 +79,33 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
+// TestTraceValidate: a trace fits a query when every row names one of its
+// streams and carries at least that stream's attributes; the error names the
+// first row, in file order, that does not.
+func TestTraceValidate(t *testing.T) {
+	q := query.FourWay(60)
+	for _, tc := range []struct {
+		name, csv, want string
+	}{
+		{"fits", sampleTrace, ""},
+		{"wider rows fit", "0,0,0,1,2,3,4\n", ""},
+		{"unknown stream", "0,0,0,1,2,3\n5,4,0,1,2,3\n2,9,0,1,2,3\n", "tick 5: stream 4, but the query has streams 0..3"},
+		{"short rows", "3,1,0,1,2\n", "tick 3: stream 1 tuple has 2 attributes, the query's have 3"},
+	} {
+		tr, err := ParseTrace(strings.NewReader(tc.csv), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		err = tr.Validate(q)
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: Validate = %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Validate = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestTraceRoundTripsGenerator: dumping a generator to CSV and re-parsing
 // yields an identical workload.
 func TestTraceRoundTripsGenerator(t *testing.T) {
